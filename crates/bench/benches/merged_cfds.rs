@@ -1,9 +1,6 @@
 //! Criterion bench for the merged-CFD study: validating a set of CFDs with
 //! one query pair per CFD vs the single merged query pair of Section 4.2,
-//! plus an interned-vs-naive comparison point: the same detection work done
-//! through `ValueId` (u32) equality vs resolved-`Value` (string) equality.
-//! The latter pair is the perf baseline for the interning refactor; record
-//! future results against it in `BENCH_*.json`.
+//! plus the direct scan of the same set as the non-SQL comparison point.
 
 use cfd_bench::tax_data;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
@@ -42,26 +39,9 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    // Interned (ValueId) vs naive (resolved-Value) direct detection of the
-    // same CFD set: isolates the gain of the dictionary-encoded hot path.
     let direct = DirectDetector::new();
     group.bench_function("direct_interned_ids", |b| {
-        b.iter(|| {
-            let mut out = cfd_detect::Violations::new();
-            for cfd in &cfds {
-                out.merge(direct.detect(cfd, &data));
-            }
-            out
-        });
-    });
-    group.bench_function("direct_naive_values", |b| {
-        b.iter(|| {
-            let mut out = cfd_detect::Violations::new();
-            for cfd in &cfds {
-                out.merge(direct.detect_value_path(cfd, &data));
-            }
-            out
-        });
+        b.iter(|| direct.detect_set(&cfds, &data));
     });
     group.finish();
 }

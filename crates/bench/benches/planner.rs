@@ -1,13 +1,14 @@
 //! Adaptive-planner bench: the Fig. 9 workload grid served by every static
-//! [`DetectorKind`] plus [`DetectorKind::Auto`].
+//! [`DetectorKind`] plus [`DetectorKind::Auto`], beside the paper's SQL
+//! query pairs ([`Detector`]: per-CFD, merged, parallel).
 //!
 //! Five workload profiles sweep the regimes the cost model distinguishes —
 //! a tiny constant tableau, a many-group high-cardinality LHS, a same-LHS
 //! family of large tableaux (the fused-scan case), a wide-arity CFD and a
-//! mixed rule set. Every kind runs through a prepared [`Session`] (so the
-//! SQL kinds amortize compilation and `Auto` amortizes statistics exactly as
-//! in serving), and `Auto`'s report is checked byte-identical to the direct
-//! oracle outside the timed region.
+//! mixed rule set. Every kind runs through a prepared [`Session`] (so
+//! `Auto` amortizes statistics exactly as in serving), the SQL series call
+//! [`Detector`] directly, and `Auto`'s report is checked byte-identical to
+//! the direct oracle outside the timed region.
 //!
 //! Besides the harness output, the bench writes
 //! `crates/bench/BENCH_planner.json`: per workload the plan `Auto` chose
@@ -20,7 +21,7 @@ use cfd_core::Cfd;
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
 use cfd_detect::sharded::available_cores;
-use cfd_detect::DirectDetector;
+use cfd_detect::{Detector, DirectDetector, Violations};
 use cfd_relation::Relation;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::fmt::Write as _;
@@ -102,8 +103,11 @@ fn session_for(kind: DetectorKind, cfds: &[Cfd], data: &Arc<Relation>) -> Sessio
         .unwrap()
 }
 
-/// Steady-state ns/iter for every kind over one workload, measured
-/// **round-robin**: after a warm-up call per session (building the
+/// One timed series: a name and the detection it repeats.
+type Series<'a> = (&'static str, Box<dyn FnMut() -> Violations + 'a>);
+
+/// Steady-state ns/iter for every series over one workload, measured
+/// **round-robin**: after a warm-up call per series (building the
 /// prepared state — plans, indexes, statistics — so the measurement sees
 /// the serving steady state), each round times one batch of every kind
 /// back to back, and the recorded value is the minimum batch mean across
@@ -114,12 +118,12 @@ fn session_for(kind: DetectorKind, cfds: &[Cfd], data: &Arc<Relation>) -> Sessio
 /// round costs roughly a fifth of a second per kind (means absorb timer
 /// granularity on microsecond workloads, the min discards interrupted
 /// batches).
-fn time_detect_all(sessions: &mut [(&'static str, Session)]) -> Vec<u128> {
-    let iters: Vec<usize> = sessions
+fn time_detect_all(series: &mut [Series<'_>]) -> Vec<u128> {
+    let iters: Vec<usize> = series
         .iter_mut()
-        .map(|(_, session)| {
+        .map(|(_, detect)| {
             let warmup = Instant::now();
-            std::hint::black_box(session.detect().unwrap());
+            std::hint::black_box(detect());
             let once = warmup.elapsed().as_nanos().max(1);
             (200_000_000 / once).clamp(3, 5_000) as usize
         })
@@ -132,10 +136,10 @@ fn time_detect_all(sessions: &mut [(&'static str, Session)]) -> Vec<u128> {
     // the direction each round so no kind always runs in the wake of the
     // same neighbour (the sharded series churns threads, which taxes
     // whatever runs right after it).
-    let mut order: Vec<usize> = (0..sessions.len()).collect();
+    let mut order: Vec<usize> = (0..series.len()).collect();
     order.sort_by_key(|&k| iters[k]);
     order.reverse(); // largest iter count = cheapest kind first
-    let mut best = vec![u128::MAX; sessions.len()];
+    let mut best = vec![u128::MAX; series.len()];
     for round in 0..8 {
         let round_order: Vec<usize> = if round % 2 == 0 {
             order.clone()
@@ -143,10 +147,10 @@ fn time_detect_all(sessions: &mut [(&'static str, Session)]) -> Vec<u128> {
             order.iter().rev().copied().collect()
         };
         for k in round_order {
-            let (_, session) = &mut sessions[k];
+            let (_, detect) = &mut series[k];
             let start = Instant::now();
             for _ in 0..iters[k] {
-                std::hint::black_box(session.detect().unwrap());
+                std::hint::black_box(detect());
             }
             best[k] = best[k].min(start.elapsed().as_nanos() / iters[k] as u128);
         }
@@ -169,11 +173,8 @@ fn plan_string(session: &Session) -> String {
 
 fn bench(c: &mut Criterion) {
     let cores = available_cores();
-    let kinds: [(&str, DetectorKind); 6] = [
+    let kinds: [(&str, DetectorKind); 3] = [
         ("direct", DetectorKind::Direct),
-        ("sql", DetectorKind::Sql),
-        ("sql_merged", DetectorKind::SqlMerged),
-        ("sql_parallel", DetectorKind::SqlParallel { threads: cores }),
         (
             "sharded",
             DetectorKind::Sharded {
@@ -193,42 +194,55 @@ fn bench(c: &mut Criterion) {
             "{}: the grid must carry real violations",
             workload.name
         );
-        let auto = DetectorKind::Auto
-            .detect_set(&workload.cfds, Arc::clone(&workload.data))
-            .unwrap();
+        let mut planned = session_for(DetectorKind::Auto, &workload.cfds, &workload.data);
         assert_eq!(
-            auto.canonical_bytes(),
+            planned.detect().unwrap().canonical_bytes(),
             oracle.canonical_bytes(),
             "{}: Auto diverged from the direct oracle",
             workload.name
         );
+        let chosen_plan = plan_string(&planned);
 
         let mut group = c.benchmark_group(format!("planner/{}", workload.name));
         group
             .sample_size(10)
             .measurement_time(Duration::from_secs(5));
-        let mut sessions: Vec<(&'static str, Session)> = kinds
-            .iter()
-            .map(|&(kind_name, kind)| {
-                (kind_name, session_for(kind, &workload.cfds, &workload.data))
-            })
-            .collect();
-        for (kind_name, session) in &mut sessions {
-            group.bench_function(*kind_name, |b| {
-                b.iter(|| session.detect().unwrap());
-            });
+        let (cfds, data) = (&workload.cfds, &workload.data);
+        let sql = Detector::new();
+        let mut series: Vec<Series<'_>> = vec![
+            (
+                "sql",
+                Box::new(move || sql.detect_set(cfds, Arc::clone(data)).unwrap()),
+            ),
+            (
+                "sql_merged",
+                Box::new(move || sql.detect_set_merged(cfds, Arc::clone(data)).unwrap()),
+            ),
+            (
+                "sql_parallel",
+                Box::new(move || {
+                    sql.detect_set_parallel(cfds, Arc::clone(data), cores)
+                        .unwrap()
+                }),
+            ),
+        ];
+        for (kind_name, kind) in kinds {
+            let mut session = session_for(kind, cfds, data);
+            series.push((kind_name, Box::new(move || session.detect().unwrap())));
+        }
+        for (name, detect) in &mut series {
+            group.bench_function(*name, |b| b.iter(&mut *detect));
         }
         group.finish();
         // Hand-timed series for the JSON artifact (the criterion shim
         // prints text only).
-        let measured = time_detect_all(&mut sessions);
-        for ((kind_name, _), ns) in sessions.iter().zip(&measured) {
+        let measured = time_detect_all(&mut series);
+        for ((kind_name, _), ns) in series.iter().zip(&measured) {
             json_entries.push(format!(
                 "{{\"workload\": \"{}\", \"kind\": \"{kind_name}\", \"ns_per_iter\": {ns}}}",
                 workload.name
             ));
         }
-        let chosen_plan = plan_string(&sessions.last().expect("auto is last").1);
         json_entries.push(format!(
             "{{\"workload\": \"{}\", \"kind\": \"auto_plan\", \"plan\": \"{chosen_plan}\"}}",
             workload.name

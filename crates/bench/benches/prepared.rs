@@ -8,8 +8,8 @@
 //!
 //! * `oneshot` — what the pre-redesign facade forced on every batch:
 //!   rebuild the accumulated relation, call `cfd::detect_violations`
-//!   (which re-validates consistency, re-generates the queries, re-builds
-//!   every LHS index) and re-scan all rows seen so far —
+//!   (which re-validates consistency, re-builds every LHS index) and
+//!   re-scan all rows seen so far —
 //!   `O(Σ_k k·B) = O(N²/2B)` row scans over the stream;
 //! * `prepared` — the redesign: one `Engine` compiled up front, one
 //!   `Session`, each batch absorbed by `Session::apply_batch` with
@@ -18,14 +18,14 @@
 //!
 //! Outside the timed region the bench asserts the two paths report
 //! **byte-identically after every batch**, and additionally that a reused
-//! session's `detect()` matches the one-shot `Direct`/`Sql`/`SqlMerged`/
-//! `Sharded` paths on the final instance. A second pair measures repeated
+//! session's `detect()` matches the one-shot `Direct`/`Sharded` paths and
+//! the merged SQL pair (`Detector`) on the final instance. A second pair measures repeated
 //! repair of a fixed 10k-row noisy instance through a reused session
 //! (shared LHS indexes) vs the one-shot `repair_violations` path.
 //!
 //! Besides the harness output it writes `crates/bench/BENCH_prepared.json`
 //! — machine-readable `{series, ns_per_iter, speedup}` records — which CI
-//! uploads next to the columnar and repair artifacts.
+//! uploads next to the repair artifact.
 
 use cfd::prelude::*;
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
@@ -149,8 +149,9 @@ fn bench(c: &mut Criterion) {
                 "final instance, {kind:?}"
             );
         }
-        let merged =
-            cfd::detect_violations(DetectorKind::SqlMerged, &cfds, Arc::clone(&final_rel)).unwrap();
+        let merged = Detector::new()
+            .detect_set_merged(&cfds, Arc::clone(&final_rel))
+            .unwrap();
         assert_eq!(
             session_report.constant_violations(),
             merged.constant_violations(),

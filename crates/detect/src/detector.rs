@@ -1,6 +1,12 @@
-//! The high-level detector: runs the generated SQL queries on the in-memory
-//! engine, per CFD, merged, or across threads — plus the [`DetectorKind`]
-//! selector dispatching over every detection path of the crate.
+//! The SQL-based detector of Section 4 — the paper's `QC`/`QV` query pairs
+//! run on the in-memory engine, per CFD, merged, or across threads — and the
+//! [`DetectorKind`] selector over the serving engines.
+//!
+//! [`Detector`] is the reproduction artefact and the differential reference:
+//! the Fig. 9 benches and the differential harness call it directly. It is
+//! deliberately **not** a [`DetectorKind`]: the SQL path is 10–150× behind
+//! the direct scan on every planner workload, so a serving `Session` never
+//! dispatches to it.
 
 use crate::direct::DirectDetector;
 use crate::merge::MergedTableaux;
@@ -9,34 +15,21 @@ use crate::report::Violations;
 use crate::sharded::ShardedDetector;
 use crate::single;
 use cfd_core::Cfd;
-use cfd_relation::Relation;
+use cfd_relation::{Relation, Value};
 use cfd_sql::{Catalog, ExecStats, Executor, SelectQuery, SqlError, Strategy};
 use std::sync::Arc;
 
 /// Result alias: detection surfaces SQL-layer errors unchanged.
 pub type Result<T> = std::result::Result<T, SqlError>;
 
-/// Selects one of the crate's detection engines behind a single entry point
-/// ([`DetectorKind::detect_set`]). All variants report identical violation
-/// sets, with one documented exception: [`DetectorKind::SqlMerged`] reports
-/// multi-tuple keys over the *merged* `X`-attribute union (Section 4.2) when
-/// given more than one CFD, so its `QV` key space differs from the per-CFD
-/// paths' — its `QC` component and its emptiness still agree exactly.
+/// Selects the serving detection engine behind a single entry point
+/// ([`DetectorKind::detect_set`]). All variants run the one vectorized scan
+/// kernel and report byte-identical violation sets; they differ only in how
+/// the work is laid out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectorKind {
-    /// The single-threaded hash-based oracle ([`DirectDetector`]).
+    /// The single-threaded scan ([`DirectDetector`]).
     Direct,
-    /// One SQL `QC`/`QV` query pair per CFD ([`Detector::detect_set`]).
-    Sql,
-    /// The single merged SQL query pair of Section 4.2
-    /// ([`Detector::detect_set_merged`]).
-    SqlMerged,
-    /// One SQL query pair per CFD, spread over worker threads
-    /// ([`Detector::detect_set_parallel`]).
-    SqlParallel {
-        /// Worker thread count (clamped to the CFD count).
-        threads: usize,
-    },
     /// Hash-sharded parallel detection ([`ShardedDetector`]): rows are
     /// partitioned by interned LHS key and scanned on scoped worker threads.
     Sharded {
@@ -52,30 +45,20 @@ pub enum DetectorKind {
 
 impl DetectorKind {
     /// Detects the violations of `cfds` on `data` with the selected engine.
-    pub fn detect_set(&self, cfds: &[Cfd], data: Arc<Relation>) -> Result<Violations> {
+    pub fn detect_set(&self, cfds: &[Cfd], data: &Relation) -> Violations {
         match self {
-            DetectorKind::Direct => Ok(DirectDetector::new().detect_set(cfds, &data)),
-            DetectorKind::Sql => Detector::new().detect_set(cfds, data),
-            DetectorKind::SqlMerged => Detector::new().detect_set_merged(cfds, data),
-            DetectorKind::SqlParallel { threads } => {
-                Detector::new().detect_set_parallel(cfds, data, *threads)
-            }
+            DetectorKind::Direct => DirectDetector::new().detect_set(cfds, data),
             DetectorKind::Sharded { shards } => {
-                Ok(ShardedDetector::new(*shards).detect_set(cfds, &data))
+                ShardedDetector::new(*shards).detect_set(cfds, data)
             }
-            DetectorKind::Auto => Ok(crate::Planner::new().detect_set(cfds, &data)),
+            DetectorKind::Auto => crate::Planner::new().detect_set(cfds, data),
         }
     }
 
     /// Every selectable engine, for exhaustive differential sweeps.
-    pub fn all(parallelism: usize) -> [DetectorKind; 6] {
+    pub fn all(parallelism: usize) -> [DetectorKind; 3] {
         [
             DetectorKind::Direct,
-            DetectorKind::Sql,
-            DetectorKind::SqlMerged,
-            DetectorKind::SqlParallel {
-                threads: parallelism,
-            },
             DetectorKind::Sharded {
                 shards: parallelism,
             },
@@ -99,6 +82,18 @@ const TABLEAU_NAME: &str = "__tableau";
 const JOINED_NAME: &str = "__tableau_xy";
 const TX_NAME: &str = "__tableau_x";
 const TY_NAME: &str = "__tableau_y";
+
+/// Folds the result rows of a `QC`/`QV` query pair into a report.
+fn report(qc: &[Vec<Value>], qv: &[Vec<Value>]) -> Violations {
+    let mut out = Violations::new();
+    for row in qc {
+        out.add_constant_violation(row.clone());
+    }
+    for row in qv {
+        out.add_multi_tuple_key(row.clone());
+    }
+    out
+}
 
 /// SQL-based CFD violation detector (Section 4).
 #[derive(Debug, Clone, Copy)]
@@ -139,63 +134,48 @@ impl Detector {
         cfd: &Cfd,
         data: Arc<Relation>,
     ) -> Result<(Violations, DetectStats)> {
-        let mut catalog = Catalog::new();
-        catalog.register_arc(DATA_NAME, data);
-        catalog.register_as(TABLEAU_NAME, single::tableau_relation(cfd, TABLEAU_NAME));
-        let executor = Executor::new(&catalog).with_strategy(self.strategy);
-
-        let mut stats = DetectStats::default();
-        let mut violations = Violations::new();
-        let (qc_rows, qc_stats) =
-            executor.run_with_stats(&single::qc_query(cfd, DATA_NAME, TABLEAU_NAME))?;
-        stats.qc = qc_stats;
-        for row in qc_rows.rows() {
-            violations.add_constant_violation(row.clone());
-        }
-        let (qv_rows, qv_stats) =
-            executor.run_with_stats(&single::qv_query(cfd, DATA_NAME, TABLEAU_NAME))?;
-        stats.qv = qv_stats;
-        for row in qv_rows.rows() {
-            violations.add_multi_tuple_key(row.clone());
-        }
-        Ok((violations, stats))
+        self.with_tableau(cfd, data, |executor| {
+            let (qc_rows, qc) =
+                executor.run_with_stats(&single::qc_query(cfd, DATA_NAME, TABLEAU_NAME))?;
+            let (qv_rows, qv) =
+                executor.run_with_stats(&single::qv_query(cfd, DATA_NAME, TABLEAU_NAME))?;
+            Ok((
+                report(qc_rows.rows(), qv_rows.rows()),
+                DetectStats { qc, qv },
+            ))
+        })
     }
 
     /// Runs only the `QC` query of one CFD (used by the Fig. 9(c) split).
     pub fn qc_only(&self, cfd: &Cfd, data: Arc<Relation>) -> Result<(Violations, ExecStats)> {
-        self.run_one(cfd, data, true)
+        self.with_tableau(cfd, data, |executor| {
+            let (rows, stats) =
+                executor.run_with_stats(&single::qc_query(cfd, DATA_NAME, TABLEAU_NAME))?;
+            Ok((report(rows.rows(), &[]), stats))
+        })
     }
 
     /// Runs only the `QV` query of one CFD (used by the Fig. 9(c) split).
     pub fn qv_only(&self, cfd: &Cfd, data: Arc<Relation>) -> Result<(Violations, ExecStats)> {
-        self.run_one(cfd, data, false)
+        self.with_tableau(cfd, data, |executor| {
+            let (rows, stats) =
+                executor.run_with_stats(&single::qv_query(cfd, DATA_NAME, TABLEAU_NAME))?;
+            Ok((report(&[], rows.rows()), stats))
+        })
     }
 
-    fn run_one(
+    /// Registers `data` and `cfd`'s pattern tableau in a fresh catalog and
+    /// hands `run` an executor over it.
+    fn with_tableau<T>(
         &self,
         cfd: &Cfd,
         data: Arc<Relation>,
-        constant_side: bool,
-    ) -> Result<(Violations, ExecStats)> {
+        run: impl FnOnce(&Executor<'_>) -> Result<T>,
+    ) -> Result<T> {
         let mut catalog = Catalog::new();
         catalog.register_arc(DATA_NAME, data);
         catalog.register_as(TABLEAU_NAME, single::tableau_relation(cfd, TABLEAU_NAME));
-        let executor = Executor::new(&catalog).with_strategy(self.strategy);
-        let query = if constant_side {
-            single::qc_query(cfd, DATA_NAME, TABLEAU_NAME)
-        } else {
-            single::qv_query(cfd, DATA_NAME, TABLEAU_NAME)
-        };
-        let (rows, stats) = executor.run_with_stats(&query)?;
-        let mut violations = Violations::new();
-        for row in rows.rows() {
-            if constant_side {
-                violations.add_constant_violation(row.clone());
-            } else {
-                violations.add_multi_tuple_key(row.clone());
-            }
-        }
-        Ok((violations, stats))
+        run(&Executor::new(&catalog).with_strategy(self.strategy))
     }
 
     /// Validates a set of CFDs with one query pair per CFD (the naive
@@ -224,16 +204,9 @@ impl Detector {
         catalog.register_as(JOINED_NAME, merged.joined_relation(JOINED_NAME));
         let executor = Executor::new(&catalog).with_strategy(self.strategy);
 
-        let mut out = Violations::new();
         let qc = executor.run(&merged::qc_merged(&merged, DATA_NAME, JOINED_NAME))?;
-        for row in qc.rows() {
-            out.add_constant_violation(row.clone());
-        }
         let qv = executor.run(&merged::qv_merged(&merged, DATA_NAME, JOINED_NAME))?;
-        for row in qv.rows() {
-            out.add_multi_tuple_key(row.clone());
-        }
-        Ok(out)
+        Ok(report(qc.rows(), qv.rows()))
     }
 
     /// Like [`Detector::detect_set_merged`] but executing the queries in the
@@ -253,20 +226,13 @@ impl Detector {
         catalog.register_as(TY_NAME, merged.y_relation(TY_NAME));
         let executor = Executor::new(&catalog).with_strategy(self.strategy);
 
-        let mut out = Violations::new();
         let qc = executor.run(&merged::qc_merged_paper(
             &merged, DATA_NAME, TX_NAME, TY_NAME,
         ))?;
-        for row in qc.rows() {
-            out.add_constant_violation(row.clone());
-        }
         let qv = executor.run(&merged::qv_merged_paper(
             &merged, DATA_NAME, TX_NAME, TY_NAME,
         ))?;
-        for row in qv.rows() {
-            out.add_multi_tuple_key(row.clone());
-        }
-        Ok(out)
+        Ok(report(qc.rows(), qv.rows()))
     }
 
     /// Validates a set of CFDs with one query pair per CFD, spreading the
@@ -324,7 +290,6 @@ impl Default for Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::direct::DirectDetector;
     use cfd_datagen::cust::{cust_instance, fig2_cfd_set, phi1, phi2, phi3_with_fd, phi5};
     use cfd_datagen::records::{TaxConfig, TaxGenerator};
     use cfd_datagen::{CfdWorkload, EmbeddedFd};
@@ -488,19 +453,13 @@ mod tests {
 
     #[test]
     fn detector_kind_dispatches_every_engine() {
-        let rel = Arc::new(cust_instance());
+        let rel = cust_instance();
         let cfds = vec![phi2(), phi3_with_fd(), phi5()];
-        let reference = DirectDetector::new().detect_set(&cfds, &rel);
+        let reference = Detector::new()
+            .detect_set(&cfds, Arc::new(rel.clone()))
+            .unwrap();
         for kind in DetectorKind::all(3) {
-            let got = kind.detect_set(&cfds, Arc::clone(&rel)).unwrap();
-            // SqlMerged reports QV keys over the merged X union; the other
-            // engines must agree byte for byte.
-            if kind == DetectorKind::SqlMerged {
-                assert_eq!(got.constant_violations(), reference.constant_violations());
-                assert_eq!(got.is_clean(), reference.is_clean());
-            } else {
-                assert_eq!(got, reference, "kind {kind:?}");
-            }
+            assert_eq!(kind.detect_set(&cfds, &rel), reference, "kind {kind:?}");
         }
     }
 

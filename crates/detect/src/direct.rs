@@ -2,106 +2,15 @@
 //!
 //! This detector computes exactly what the `QC`/`QV` SQL queries of Section 4
 //! compute, but without going through the SQL layer: it groups tuples in one
-//! pass per CFD. It serves two purposes:
-//!
-//! * it is an **independent oracle** for the SQL-based
-//!   [`Detector`](crate::Detector) — the property tests assert that both
-//!   return identical reports on arbitrary data;
-//! * it is the non-SQL fast path used by the repair algorithm, which needs to
-//!   know the violating row indices rather than tuple values.
+//! pass per CFD over the vectorized [`kernels`](crate::kernels). It is the
+//! serving fast path, and an **independent counterpart** of the SQL-based
+//! [`Detector`](crate::Detector) — the differential harness asserts that
+//! both return identical reports on arbitrary data.
 
 use crate::kernels::{scan_group, ScanScratch};
 use crate::report::Violations;
 use cfd_core::Cfd;
-use cfd_relation::{project_cols_into, Index, Relation, Tuple, Value, ValueId};
-use std::collections::{HashMap, HashSet};
-
-/// Per-LHS-key state of the columnar scan, fused so each row costs a single
-/// hash lookup: the memoized "matches some pattern" verdict and the
-/// distinct-`Y` tracking (we only ever need to know whether a group has
-/// *more than one* distinct `Y` projection, so the first projection plus a
-/// tripped flag replaces a whole `HashSet`).
-enum GroupState {
-    /// No pattern row matches this LHS key — `QV` never applies.
-    Unmatched,
-    /// Matched; every row so far shares this one `Y` projection.
-    OneY(Vec<ValueId>),
-    /// Matched; at least two distinct `Y` projections seen — a violation.
-    ManyY,
-}
-
-/// The combined `QC`+`QV` columnar scan over a subset of rows (`None` = all
-/// rows) — the shared core of [`DirectDetector::detect`] and the per-shard
-/// workers of [`ShardedDetector`](crate::ShardedDetector) (one hash
-/// partition each). Since the vectorized kernels landed this is a thin
-/// wrapper over [`scan_group`](crate::kernels::scan_group) with a
-/// call-local scratch; callers that scan repeatedly (set detection, the
-/// planner) hold a [`ScanScratch`](crate::kernels::ScanScratch) and call
-/// the kernel directly. Keeping every caller on the one kernel is what
-/// makes the sharded determinism contract ("byte-identical to the direct
-/// path") hold by construction.
-pub(crate) fn detect_rows(cfd: &Cfd, rel: &Relation, rows: Option<&[u32]>) -> Violations {
-    let mut out = Violations::new();
-    scan_group(&[cfd], rel, rows, &mut ScanScratch::new(), &mut out);
-    out
-}
-
-/// The row-at-a-time hash scan the vectorized kernels replaced: projects
-/// `X`/`Y` into scratch vectors per row and keys the group table by owned
-/// `Vec<ValueId>` (one allocation per new LHS group). Kept as the reference
-/// and benchmark baseline — the kernel tests pin byte-identical reports,
-/// and the `columnar` bench measures the speedup at 100k rows.
-pub(crate) fn detect_rows_rowhash(cfd: &Cfd, rel: &Relation, rows: Option<&[u32]>) -> Violations {
-    let xcols = rel.columns_for(cfd.lhs());
-    let ycols = rel.columns_for(cfd.rhs());
-    let mut out = Violations::new();
-    let mut groups: HashMap<Vec<ValueId>, GroupState> = HashMap::new();
-    let mut x_scratch: Vec<ValueId> = Vec::with_capacity(xcols.len());
-    let mut y_scratch: Vec<ValueId> = Vec::with_capacity(ycols.len());
-    let mut scan = |i: usize| {
-        project_cols_into(&xcols, i, &mut x_scratch);
-        project_cols_into(&ycols, i, &mut y_scratch);
-        // QC: matches a pattern on X but contradicts one of its constants on Y.
-        for pattern in cfd.tableau().iter() {
-            if pattern.lhs_matches_ids(&x_scratch) && !pattern.rhs_matches_ids(&y_scratch) {
-                // wslint: allow(panic_path, "i < rel.len() scan-loop bound makes row(i) infallible")
-                out.add_constant_violation(rel.row(i).expect("row in range").to_values());
-                break;
-            }
-        }
-        // QV: group by X among pattern-matched keys, compare distinct Y.
-        // Whether an X value matches some pattern depends on the X value
-        // only, so the verdict lives in the group entry itself.
-        match groups.get_mut(x_scratch.as_slice()) {
-            Some(state) => {
-                if let GroupState::OneY(first) = state {
-                    if *first != y_scratch {
-                        *state = GroupState::ManyY;
-                    }
-                }
-            }
-            None => {
-                let matched = cfd.tableau().iter().any(|p| p.lhs_matches_ids(&x_scratch));
-                let state = if matched {
-                    GroupState::OneY(y_scratch.clone())
-                } else {
-                    GroupState::Unmatched
-                };
-                groups.insert(x_scratch.clone(), state);
-            }
-        }
-    };
-    match rows {
-        Some(rows) => rows.iter().for_each(|&i| scan(i as usize)),
-        None => (0..rel.len()).for_each(scan),
-    }
-    for (key, state) in groups {
-        if matches!(state, GroupState::ManyY) {
-            out.add_multi_tuple_key(key.iter().map(|id| id.resolve().clone()).collect());
-        }
-    }
-    out
-}
+use cfd_relation::{project_cols_into, Index, Relation, ValueId};
 
 /// The group-driven `QC`+`QV` scan over a **prebuilt** LHS [`Index`] — the
 /// prepared-engine counterpart of [`DirectDetector::detect`], consumed by a serving
@@ -133,7 +42,7 @@ pub(crate) fn detect_rows_rowhash(cfd: &Cfd, rel: &Relation, rows: Option<&[u32]
 pub fn detect_with_index(cfd: &Cfd, rel: &Relation, index: &Index) -> Violations {
     debug_assert!(
         !cfd.has_dont_care(),
-        "detect_with_index groups by the full LHS; don't-care tableaux need detect_rows"
+        "detect_with_index groups by the full LHS; don't-care tableaux need the scan"
     );
     debug_assert_eq!(
         index.attrs(),
@@ -208,41 +117,6 @@ pub fn detect_with_index(cfd: &Cfd, rel: &Relation, index: &Index) -> Violations
     out
 }
 
-/// The row-store era `QC`+`QV` scan over owned tuples: identical semantics
-/// to the columnar scan, but reading one heap-allocated [`Tuple`] per row. It
-/// is kept as the reference/baseline path — the detector-equivalence tests
-/// prove the columnar scan returns byte-identical [`Violations`], and the
-/// `columnar` bench measures the struct-of-arrays layout against it.
-pub fn detect_tuples<'a>(cfd: &Cfd, tuples: impl Iterator<Item = &'a Tuple>) -> Violations {
-    let lhs = cfd.lhs();
-    let rhs = cfd.rhs();
-    let mut out = Violations::new();
-    let mut groups: HashMap<Vec<ValueId>, HashSet<Vec<ValueId>>> = HashMap::new();
-    let mut matched_cache: HashMap<Vec<ValueId>, bool> = HashMap::new();
-    for tuple in tuples {
-        let x_vals = tuple.project_ids(lhs);
-        let y_vals = tuple.project_ids(rhs);
-        for pattern in cfd.tableau().iter() {
-            if pattern.lhs_matches_ids(&x_vals) && !pattern.rhs_matches_ids(&y_vals) {
-                out.add_constant_violation(tuple.to_values());
-                break;
-            }
-        }
-        let matched = *matched_cache
-            .entry(x_vals.clone())
-            .or_insert_with(|| cfd.tableau().iter().any(|p| p.lhs_matches_ids(&x_vals)));
-        if matched {
-            groups.entry(x_vals).or_default().insert(y_vals);
-        }
-    }
-    for (key, y_projs) in groups {
-        if y_projs.len() > 1 {
-            out.add_multi_tuple_key(key.iter().map(|id| id.resolve().clone()).collect());
-        }
-    }
-    out
-}
-
 /// Stateless direct detector.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectDetector;
@@ -265,67 +139,7 @@ impl DirectDetector {
     /// ([`scan_group`]), shared with the
     /// sharded workers and the adaptive planner.
     pub fn detect(&self, cfd: &Cfd, rel: &Relation) -> Violations {
-        detect_rows(cfd, rel, None)
-    }
-
-    /// The row-at-a-time hash scan the vectorized kernels replaced (owned
-    /// `Vec<ValueId>` group keys, one allocation per new LHS group) — the
-    /// performance baseline of the `columnar` bench. Returns the same
-    /// report as [`DirectDetector::detect`].
-    pub fn detect_rowhash(&self, cfd: &Cfd, rel: &Relation) -> Violations {
-        detect_rows_rowhash(cfd, rel, None)
-    }
-
-    /// The row-store era scan ([`detect_tuples`]) over pre-materialized
-    /// tuples: the baseline the `columnar` bench compares the
-    /// struct-of-arrays layout against. Returns the same report as
-    /// [`DirectDetector::detect`] on `rel.to_tuples()`.
-    pub fn detect_row_era(&self, cfd: &Cfd, rows: &[Tuple]) -> Violations {
-        detect_tuples(cfd, rows.iter())
-    }
-
-    /// The pre-interning reference implementation: identical semantics to
-    /// [`DirectDetector::detect`], but comparing resolved [`Value`]s (string
-    /// compares, owned-value hash keys) instead of dictionary ids.
-    ///
-    /// Kept for two purposes: the detector-equivalence tests prove the
-    /// interned path returns byte-identical [`Violations`], and the
-    /// `merged_cfds` bench uses it as the "naive" baseline for the interned
-    /// hot path.
-    pub fn detect_value_path(&self, cfd: &Cfd, rel: &Relation) -> Violations {
-        let mut out = Violations::new();
-        let lhs = cfd.lhs();
-        let rhs = cfd.rhs();
-
-        for (_, tuple) in rel.iter() {
-            let x_vals = tuple.project_ref(lhs);
-            let y_vals = tuple.project_ref(rhs);
-            for pattern in cfd.tableau().iter() {
-                if pattern.lhs_matches(&x_vals) && !pattern.rhs_matches(&y_vals) {
-                    out.add_constant_violation(tuple.to_values());
-                    break;
-                }
-            }
-        }
-
-        let mut groups: HashMap<Vec<Value>, HashSet<Vec<Value>>> = HashMap::new();
-        let mut matched_cache: HashMap<Vec<Value>, bool> = HashMap::new();
-        for (_, tuple) in rel.iter() {
-            let key = tuple.project(lhs);
-            let matched = *matched_cache.entry(key.clone()).or_insert_with(|| {
-                let refs: Vec<&Value> = key.iter().collect();
-                cfd.tableau().iter().any(|p| p.lhs_matches(&refs))
-            });
-            if matched {
-                groups.entry(key).or_default().insert(tuple.project(rhs));
-            }
-        }
-        for (key, y_projs) in groups {
-            if y_projs.len() > 1 {
-                out.add_multi_tuple_key(key);
-            }
-        }
-        out
+        self.detect_set(std::slice::from_ref(cfd), rel)
     }
 
     /// Detects violations of a set of CFDs by running the vectorized scan
@@ -340,25 +154,13 @@ impl DirectDetector {
         }
         out
     }
-
-    /// Row indices involved in any violation of `cfd` (both kinds). This is
-    /// the form the repair algorithm consumes.
-    pub fn violating_rows(&self, cfd: &Cfd, rel: &Relation) -> Vec<usize> {
-        let mut rows: HashSet<usize> = HashSet::new();
-        for witness in cfd.violations(rel) {
-            rows.extend(witness.rows.iter().copied());
-        }
-        let mut out: Vec<usize> = rows.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cfd_datagen::cust::{cust_instance, phi1, phi2, phi3_with_fd};
-    use cfd_relation::AttrId;
+    use cfd_relation::{AttrId, Value};
 
     #[test]
     fn example_4_1_qc_part() {
@@ -490,15 +292,5 @@ mod tests {
             index.insert_row(row, &new);
         }
         assert!(detect_with_index(&cfd, &rel, &index).is_clean());
-    }
-
-    #[test]
-    fn violating_rows_lists_indices() {
-        let rel = cust_instance();
-        let rows = DirectDetector::new().violating_rows(&phi2(), &rel);
-        assert_eq!(rows, vec![0, 1]);
-        assert!(DirectDetector::new()
-            .violating_rows(&phi1(), &rel)
-            .is_empty());
     }
 }

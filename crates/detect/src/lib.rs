@@ -17,19 +17,27 @@
 //! size bounded by the embedded FDs and the number of passes over the data
 //! at two.
 //!
-//! This crate provides:
+//! This crate provides the paper's SQL detection as a reproduction and
+//! differential reference, and **one** hash-based implementation of the same
+//! `QC`/`QV` semantics that everything serving-side runs on:
 //!
 //! * [`single`] — `QC`/`QV` generation for one CFD (Fig. 5),
 //! * [`merge`] — tableau merging with `@` and tuple ids (Fig. 6/7),
 //! * [`merged`] — the merged query pair with `CASE` masking (Section 4.2.2),
-//! * [`detector`] — the high-level [`Detector`] that runs those queries on
-//!   the in-memory SQL engine (per-CFD, merged, or in parallel), and the
-//!   [`DetectorKind`] selector dispatching over every engine,
-//! * [`direct`] — an independent hash-based detector used as a test oracle
-//!   and as a non-SQL fast path,
+//! * [`detector`] — the [`Detector`] that runs those queries on the
+//!   in-memory SQL engine (per-CFD, merged, paper-form, or in parallel;
+//!   [`Detector::with_strategy`] is the Fig. 9(a)/(b) knob), and the
+//!   [`DetectorKind`] selector over the serving engines below,
+//! * [`kernels`] — the one block-at-a-time `QC`+`QV` group scan
+//!   ([`GroupScan`]): it consumes blocks of column slices, so an in-memory
+//!   relation and a disk store's page chunks go through the same code,
+//! * [`direct`] — the [`DirectDetector`] (one kernel scan per CFD) and the
+//!   group-driven [`detect_with_index`] over a prebuilt LHS index,
 //! * [`sharded`] — the [`ShardedDetector`]: rows hash-partitioned by interned
 //!   LHS key and scanned on scoped worker threads, byte-identical reports to
 //!   the direct path (extension beyond the paper),
+//! * [`planner`] — the cost-based [`Planner`] behind [`DetectorKind::Auto`]
+//!   (extension beyond the paper),
 //! * [`incremental`] — the [`IncrementalDetector`] stream engine: batched
 //!   insert/delete maintenance with group-local index updates (extension
 //!   beyond the paper),
@@ -37,6 +45,9 @@
 //!   re-checking through a maintained LHS [`cfd_relation::Index`], the
 //!   incremental-maintenance entry point the repair engine drives after
 //!   each applied edit (extension beyond the paper).
+//!
+//! The semantic oracle all of them are tested against is
+//! [`cfd_core::Cfd::violations`].
 //!
 //! ```
 //! use cfd_datagen::cust::{cust_instance, phi2};
@@ -62,7 +73,7 @@ pub mod single;
 pub use detector::{DetectStats, Detector, DetectorKind};
 pub use direct::{detect_with_index, DirectDetector};
 pub use incremental::{BatchOp, IncrementalDetector};
-pub use kernels::{scan_group, ScanScratch};
+pub use kernels::{scan_group, GroupScan, ScanScratch};
 pub use merge::MergedTableaux;
 pub use planner::{DetectionPlan, PlanStep, Planner, StepStrategy};
 pub use recheck::{recheck_lhs_key, recheck_lhs_keys, RecheckScratch};

@@ -18,34 +18,15 @@
 //!   executor without changing the result.
 
 use crate::merge::MergedTableaux;
+use crate::single::{x_match, y_mismatch, DATA_ALIAS};
 use cfd_sql::ast::{Expr, SelectItem, SelectQuery, TableRef};
 
-/// Alias of the data relation in merged queries.
-pub const DATA_ALIAS: &str = "t";
 /// Alias of the pre-joined tableau in execution-form queries.
 pub const JOINED_ALIAS: &str = "tp";
 /// Alias of `T^X_Σ` in paper-form queries.
 pub const TX_ALIAS: &str = "txp";
 /// Alias of `T^Y_Σ` in paper-form queries.
 pub const TY_ALIAS: &str = "typ";
-
-/// `t[Xi] ≍ tp[Xi]` with don't-care: `(t.Xi = <cell> OR <cell> = '_' OR <cell> = '@')`.
-fn x_match(data_attr: &str, tableau_alias: &str, tableau_col: &str) -> Expr {
-    Expr::or(vec![
-        Expr::col(DATA_ALIAS, data_attr).eq(Expr::col(tableau_alias, tableau_col)),
-        Expr::col(tableau_alias, tableau_col).eq(Expr::str("_")),
-        Expr::col(tableau_alias, tableau_col).eq(Expr::str("@")),
-    ])
-}
-
-/// `t[Yj] ≭ tp[Yj]` with don't-care: `(t.Yj <> <cell> AND <cell> <> '_' AND <cell> <> '@')`.
-fn y_mismatch(data_attr: &str, tableau_alias: &str, tableau_col: &str) -> Expr {
-    Expr::and(vec![
-        Expr::col(DATA_ALIAS, data_attr).ne(Expr::col(tableau_alias, tableau_col)),
-        Expr::col(tableau_alias, tableau_col).ne(Expr::str("_")),
-        Expr::col(tableau_alias, tableau_col).ne(Expr::str("@")),
-    ])
-}
 
 /// `CASE <tableau cell> WHEN '@' THEN '@' ELSE t.<attr> END` — the masking
 /// expression of the `Macro` relation.

@@ -52,7 +52,7 @@
 use crate::direct::detect_with_index;
 use crate::kernels::{scan_group, ScanScratch, FUSE_MAX};
 use crate::report::Violations;
-use crate::sharded::{available_cores, shard_of, MIN_ROWS_PER_WORKER};
+use crate::sharded::{available_cores, scan_group_sharded, MIN_ROWS_PER_WORKER};
 use cfd_core::Cfd;
 use cfd_relation::{Index, Relation, RelationStats};
 use std::fmt;
@@ -535,55 +535,6 @@ impl Planner {
         let per_row = INDEX_ROW + shape.rhs_arity as f64 * (YCMP + expected_matches * PATTERN_CMP);
         groups_visited * (INDEX_ITER + tableau_rows * shape.arity as f64 * CELL)
             + rows_touched * per_row
-    }
-}
-
-/// Sharded execution of one fused step: partition rows by the shared LHS
-/// key ([`shard_of`] — the same hash as [`ShardedDetector`](crate::ShardedDetector)),
-/// scan each bucket on a scoped worker with its own scratch, merge in
-/// ascending shard order. Byte-identical to the unsharded fused scan for
-/// the same reasons the sharded detector is byte-identical to the direct
-/// one: groups never straddle shards, and reports are ordered sets.
-fn scan_group_sharded(cfds: &[&Cfd], rel: &Relation, shards: usize, out: &mut Violations) {
-    let shards = shards.max(1);
-    if shards == 1 || rel.len() < shards * 2 {
-        scan_group(cfds, rel, None, &mut ScanScratch::new(), out);
-        return;
-    }
-    let Some(first) = cfds.first() else {
-        return;
-    };
-    let lhs_cols = rel.columns_for(first.lhs());
-    let mut buckets: Vec<Vec<u32>> = (0..shards)
-        .map(|_| Vec::with_capacity(rel.len() / shards + 1))
-        .collect();
-    for i in 0..rel.len() {
-        buckets[shard_of(&lhs_cols, i, shards)].push(i as u32);
-    }
-    let reports = std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    let mut shard_out = Violations::new();
-                    scan_group(
-                        cfds,
-                        rel,
-                        Some(bucket),
-                        &mut ScanScratch::new(),
-                        &mut shard_out,
-                    );
-                    shard_out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect::<Vec<_>>()
-    });
-    for report in reports {
-        out.merge(report);
     }
 }
 

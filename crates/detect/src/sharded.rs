@@ -15,7 +15,8 @@
 //!
 //! # Determinism contract
 //!
-//! The report is **byte-identical** to [`DirectDetector`]'s, for every shard
+//! The report is **byte-identical** to
+//! [`DirectDetector`](crate::DirectDetector)'s, for every shard
 //! count, every thread interleaving, and across runs:
 //!
 //! * Shard assignment is a pure function of the row's interned LHS key: a
@@ -37,7 +38,7 @@
 //!   per-shard scans exhaustive. Sharding by anything finer (e.g. row ranges)
 //!   would split groups and lose violations.
 
-use crate::direct::{detect_rows, DirectDetector};
+use crate::kernels::{scan_group, ScanScratch};
 use crate::report::Violations;
 use cfd_core::Cfd;
 use cfd_relation::{Relation, ValueId};
@@ -76,9 +77,8 @@ pub const MIN_ROWS_PER_WORKER: usize = 8_192;
 /// FNV-1a over the little-endian bytes of the interned LHS key, read
 /// column-wise (`lhs_cols` are the LHS column slices in key order). Fixed
 /// offset basis and prime: the partition is reproducible across runs and
-/// platforms. Shared with the planner's sharded execution of fused
-/// same-LHS steps.
-pub(crate) fn shard_of(lhs_cols: &[&[ValueId]], row: usize, shards: usize) -> usize {
+/// platforms.
+fn shard_of(lhs_cols: &[&[ValueId]], row: usize, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for col in lhs_cols {
         for byte in col[row].raw().to_le_bytes() {
@@ -103,50 +103,17 @@ impl ShardedDetector {
     }
 
     /// Detects violations of one CFD, returning the same report as
-    /// [`DirectDetector::detect`] (see the module-level determinism
-    /// contract).
+    /// [`DirectDetector::detect`](crate::DirectDetector::detect) (see the
+    /// module-level determinism contract).
     pub fn detect(&self, cfd: &Cfd, rel: &Relation) -> Violations {
-        // Sharding pays for itself only when each worker gets real work;
-        // degenerate inputs go through the single-threaded oracle unchanged
-        // (identical output by the contract, so callers can't tell).
-        if self.shards == 1 || rel.len() < self.shards * 2 {
-            return DirectDetector::new().detect(cfd, rel);
-        }
-        // Partition pass: row indices by hash of the interned LHS key, read
-        // straight from the LHS columns — the pass touches |X| column
-        // slices, nothing else. (Buckets built per bucket — `vec![..; n]`
-        // clones, and clones don't keep the pre-allocated capacity.)
-        let lhs_cols = rel.columns_for(cfd.lhs());
-        let mut buckets: Vec<Vec<u32>> = (0..self.shards)
-            .map(|_| Vec::with_capacity(rel.len() / self.shards + 1))
-            .collect();
-        for i in 0..rel.len() {
-            buckets[shard_of(&lhs_cols, i, self.shards)].push(i as u32);
-        }
-
-        // One scoped worker per shard; panics propagate (a lost shard must
-        // never silently produce a partial report).
-        let reports = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .iter()
-                .map(|bucket| scope.spawn(move || detect_shard(cfd, rel, bucket)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect::<Vec<_>>()
-        });
-
-        // Deterministic merge: ascending shard order into ordered sets.
         let mut out = Violations::new();
-        for shard_report in reports {
-            out.merge(shard_report);
-        }
+        scan_group_sharded(&[cfd], rel, self.shards, &mut out);
         out
     }
 
     /// Detects violations of a set of CFDs, merging per-CFD reports in input
-    /// order — the sharded counterpart of [`DirectDetector::detect_set`].
+    /// order — the sharded counterpart of
+    /// [`DirectDetector::detect_set`](crate::DirectDetector::detect_set).
     pub fn detect_set(&self, cfds: &[Cfd], rel: &Relation) -> Violations {
         let mut out = Violations::new();
         for cfd in cfds {
@@ -171,16 +138,69 @@ impl Default for ShardedDetector {
     }
 }
 
-/// One shard's work: the shared columnar `QC`+`QV` scan ([`detect_rows`] —
-/// the same function the direct path runs over all rows) restricted to the
-/// shard's row indices.
-fn detect_shard(cfd: &Cfd, rel: &Relation, rows: &[u32]) -> Violations {
-    detect_rows(cfd, rel, Some(rows))
+/// The sharded scan of CFDs sharing one LHS (one for [`ShardedDetector`],
+/// a fused family for the planner): one sequential pass assigns each row to
+/// `shard_of(t[X])`, every bucket is scanned on a scoped worker with its
+/// own scratch, and the per-shard reports merge in ascending shard order
+/// into `out`'s ordered sets. Panics propagate — a lost shard must never
+/// silently produce a partial report.
+pub(crate) fn scan_group_sharded(
+    cfds: &[&Cfd],
+    rel: &Relation,
+    shards: usize,
+    out: &mut Violations,
+) {
+    let Some(first) = cfds.first() else {
+        return;
+    };
+    // Sharding pays for itself only when each worker gets real work;
+    // degenerate inputs take the single-threaded scan unchanged (identical
+    // output by the contract, so callers can't tell).
+    if shards <= 1 || rel.len() < shards * 2 {
+        scan_group(cfds, rel, None, &mut ScanScratch::new(), out);
+        return;
+    }
+    // The partition pass touches the |X| column slices, nothing else.
+    // (Buckets built per bucket — `vec![..; n]` clones, and clones don't
+    // keep the pre-allocated capacity.)
+    let lhs_cols = rel.columns_for(first.lhs());
+    let mut buckets: Vec<Vec<u32>> = (0..shards)
+        .map(|_| Vec::with_capacity(rel.len() / shards + 1))
+        .collect();
+    for i in 0..rel.len() {
+        buckets[shard_of(&lhs_cols, i, shards)].push(i as u32);
+    }
+    let reports = std::thread::scope(|scope| {
+        let handles: Vec<_> = buckets
+            .iter()
+            .map(|bucket| {
+                scope.spawn(move || {
+                    let mut shard_out = Violations::new();
+                    scan_group(
+                        cfds,
+                        rel,
+                        Some(bucket),
+                        &mut ScanScratch::new(),
+                        &mut shard_out,
+                    );
+                    shard_out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<Vec<_>>()
+    });
+    for report in reports {
+        out.merge(report);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DirectDetector;
     use cfd_datagen::cust::{cust_instance, fig2_cfd_set, phi1, phi2, phi3_with_fd, phi5};
     use cfd_datagen::records::{TaxConfig, TaxGenerator};
     use cfd_datagen::{CfdWorkload, EmbeddedFd};

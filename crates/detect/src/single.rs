@@ -58,23 +58,24 @@ pub fn tableau_relation(cfd: &Cfd, name: &str) -> Relation {
     rel
 }
 
-/// The X-side match shorthand `t[Xi] ≍ tp[Xi]`:
-/// `(t.Xi = tp.Xi OR tp.Xi = '_' OR tp.Xi = '@')`.
-pub fn x_match(data_attr: &str, tableau_col: &str) -> Expr {
+/// The X-side match shorthand `t[Xi] ≍ tp[Xi]` against the tableau cell
+/// `<alias>.<col>` (shared with the merged queries, whose tableaux go by
+/// other aliases): `(t.Xi = tp.Xi OR tp.Xi = '_' OR tp.Xi = '@')`.
+pub fn x_match(data_attr: &str, tableau_alias: &str, tableau_col: &str) -> Expr {
     Expr::or(vec![
-        Expr::col(DATA_ALIAS, data_attr).eq(Expr::col(TABLEAU_ALIAS, tableau_col)),
-        Expr::col(TABLEAU_ALIAS, tableau_col).eq(Expr::str("_")),
-        Expr::col(TABLEAU_ALIAS, tableau_col).eq(Expr::str("@")),
+        Expr::col(DATA_ALIAS, data_attr).eq(Expr::col(tableau_alias, tableau_col)),
+        Expr::col(tableau_alias, tableau_col).eq(Expr::str("_")),
+        Expr::col(tableau_alias, tableau_col).eq(Expr::str("@")),
     ])
 }
 
 /// The Y-side mismatch shorthand `t[Yj] ≭ tp[Yj]`:
 /// `(t.Yj <> tp.Yj AND tp.Yj <> '_' AND tp.Yj <> '@')`.
-pub fn y_mismatch(data_attr: &str, tableau_col: &str) -> Expr {
+pub fn y_mismatch(data_attr: &str, tableau_alias: &str, tableau_col: &str) -> Expr {
     Expr::and(vec![
-        Expr::col(DATA_ALIAS, data_attr).ne(Expr::col(TABLEAU_ALIAS, tableau_col)),
-        Expr::col(TABLEAU_ALIAS, tableau_col).ne(Expr::str("_")),
-        Expr::col(TABLEAU_ALIAS, tableau_col).ne(Expr::str("@")),
+        Expr::col(DATA_ALIAS, data_attr).ne(Expr::col(tableau_alias, tableau_col)),
+        Expr::col(tableau_alias, tableau_col).ne(Expr::str("_")),
+        Expr::col(tableau_alias, tableau_col).ne(Expr::str("@")),
     ])
 }
 
@@ -91,13 +92,13 @@ pub fn qc_query(cfd: &Cfd, data_name: &str, tableau_name: &str) -> SelectQuery {
         .lhs_names()
         .iter()
         .zip(&lhs_cols)
-        .map(|(attr, col)| x_match(attr, col))
+        .map(|(attr, col)| x_match(attr, TABLEAU_ALIAS, col))
         .collect();
     let mismatches: Vec<Expr> = cfd
         .rhs_names()
         .iter()
         .zip(&rhs_cols)
-        .map(|(attr, col)| y_mismatch(attr, col))
+        .map(|(attr, col)| y_mismatch(attr, TABLEAU_ALIAS, col))
         .collect();
     conjuncts.push(Expr::or(mismatches));
     SelectQuery::new()
@@ -120,7 +121,7 @@ pub fn qv_query(cfd: &Cfd, data_name: &str, tableau_name: &str) -> SelectQuery {
         .lhs_names()
         .iter()
         .zip(&lhs_cols)
-        .map(|(attr, col)| x_match(attr, col))
+        .map(|(attr, col)| x_match(attr, TABLEAU_ALIAS, col))
         .collect();
     let mut query = SelectQuery::new()
         .distinct()
@@ -219,11 +220,11 @@ mod tests {
     #[test]
     fn match_shorthands_render_as_expected() {
         assert_eq!(
-            x_match("CC", "CC").to_string(),
+            x_match("CC", TABLEAU_ALIAS, "CC").to_string(),
             "t.CC = tp.CC OR tp.CC = '_' OR tp.CC = '@'"
         );
         assert_eq!(
-            y_mismatch("CT", "CT").to_string(),
+            y_mismatch("CT", TABLEAU_ALIAS, "CT").to_string(),
             "t.CT <> tp.CT AND tp.CT <> '_' AND tp.CT <> '@'"
         );
     }

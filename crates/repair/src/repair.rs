@@ -126,6 +126,12 @@ pub struct RepairResult {
     pub satisfied: bool,
     /// Number of passes/rounds the engine used.
     pub passes: usize,
+    /// The generation of the serving session this repair was computed
+    /// against — stamped by `cfd::Session::repair` and checked by
+    /// `cfd::Session::commit_repair`, so a result that outlived the
+    /// instance it describes is refused instead of editing other tuples.
+    /// `0` for one-shot [`Repairer`] results.
+    pub generation: u64,
 }
 
 impl RepairResult {
@@ -146,6 +152,7 @@ impl RepairResult {
             cost,
             satisfied,
             passes,
+            generation: 0,
         }
     }
 
@@ -800,6 +807,7 @@ mod tests {
             cost: 0.0,
             satisfied: true,
             passes: 1,
+            generation: 0,
         };
         let net = result.net_modifications();
         assert_eq!(net.len(), 1, "the oscillating cell folds away");

@@ -21,10 +21,11 @@
 //!   replay makes [`ColumnStore::apply_batch`] crash-recoverable — see
 //!   the durability contract on [`ColumnStore`].
 //!
-//! Detection runs directly over the store with a streaming chunk scan
-//! that is byte-identical to the in-memory detectors (reports are ordered
-//! sets), so the engine's detect/repair/sqlgen layers work unchanged over
-//! either backing.
+//! Detection runs directly over the store: [`ColumnStore::detect`] feeds
+//! the one `QC`/`QV` scan kernel of `cfd-detect` a page chunk at a time, so
+//! reports are byte-identical to the in-memory detectors (same kernel,
+//! ordered-set reports) and the engine's detect/repair layers work
+//! unchanged over either backing.
 //!
 //! [`Relation`]: cfd_relation::Relation
 
@@ -33,7 +34,6 @@ mod encode;
 mod error;
 mod pager;
 mod pool;
-mod scan;
 mod store;
 mod wal;
 

@@ -44,9 +44,9 @@ use crate::encode::{frame, put_str, put_u32, put_u64, put_value, scan_frames, ta
 use crate::error::{Result, StoreError};
 use crate::pager::{Pager, PAGE_CELLS};
 use crate::pool::{BufferPool, PoolStats};
-use crate::scan::scan_store;
 use crate::wal::{StoreOp, Wal};
 use cfd_core::Cfd;
+use cfd_detect::kernels::{GroupScan, ScanScratch};
 use cfd_detect::{BatchOp, Violations};
 use cfd_relation::{AttrType, Domain, Relation, RelationError, Schema, Value, ValueId};
 use std::collections::BTreeSet;
@@ -284,16 +284,82 @@ impl ColumnStore {
         self.commit(&store_ops)
     }
 
-    /// Detects all violations of `cfds` with a streaming, chunk-at-a-time
-    /// scan whose page memory is bounded by the pool. The report is
-    /// byte-identical to detection over [`ColumnStore::materialize`]'d
-    /// data (reports are ordered sets, so scan order is immaterial).
+    /// Detects all violations of `cfds` by streaming the store through the
+    /// one `QC`/`QV` scan kernel ([`cfd_detect::kernels`]) a page chunk at
+    /// a time: per CFD and chunk, the `X ∪ Y` column pages are read through
+    /// the pool, translated store id → runtime id with tombstoned slots
+    /// compacted out, and handed to the kernel as one block. Page memory is
+    /// bounded by the pool (`peak_resident ≤ pool_pages`); the group state
+    /// is the kernel's, the same as over an in-memory relation. The few
+    /// `QC`-violating tuples are materialized by point reads afterwards.
+    ///
+    /// The report is byte-identical to detection over
+    /// [`ColumnStore::materialize`]'d data (reports are ordered sets, so
+    /// neither scan order nor block boundaries matter).
     pub fn detect(&mut self, cfds: &[Cfd]) -> Result<Violations> {
         let mut out = Violations::new();
+        let mut scratch = ScanScratch::new();
+        let mut qc_slots: Vec<u64> = Vec::new();
         for cfd in cfds {
-            out.merge(scan_store(self, cfd)?);
+            self.scan_cfd(cfd, &mut scratch, &mut qc_slots, &mut out)?;
+        }
+        qc_slots.sort_unstable();
+        qc_slots.dedup();
+        for slot in qc_slots {
+            let mut values = Vec::with_capacity(self.arity);
+            for attr in 0..self.arity {
+                values.push(self.read_id(slot, attr as u32)?.resolve().clone());
+            }
+            out.add_constant_violation(values);
         }
         Ok(out)
+    }
+
+    /// One CFD's kernel scan over every chunk: multi-tuple keys go to
+    /// `out`, the slots of `QC`-violating tuples are appended to `qc_slots`.
+    fn scan_cfd(
+        &mut self,
+        cfd: &Cfd,
+        scratch: &mut ScanScratch,
+        qc_slots: &mut Vec<u64>,
+        out: &mut Violations,
+    ) -> Result<()> {
+        let cfds = [cfd];
+        let mut scan = GroupScan::new(&cfds, scratch);
+        let attrs = scan.attrs();
+        let mut cols: Vec<Vec<ValueId>> = vec![Vec::new(); attrs.len()];
+        let mut raw: Vec<u32> = Vec::new();
+        // Offsets of the chunk's live slots: position `i` of a compacted
+        // column is slot `base + live[i]`.
+        let mut live: Vec<u32> = Vec::new();
+        let mut hits: Vec<u32> = Vec::new();
+        for chunk in 0..self.slots.div_ceil(PAGE_CELLS as u64) {
+            let base = chunk * PAGE_CELLS as u64;
+            let end = (base + PAGE_CELLS as u64).min(self.slots);
+            let mut dead = self.dead.range(base..end).peekable();
+            live.clear();
+            live.extend(
+                (base..end)
+                    .filter(|slot| dead.next_if_eq(&slot).is_none())
+                    .map(|slot| (slot - base) as u32),
+            );
+            if live.is_empty() {
+                continue; // an entirely dead chunk costs no page read
+            }
+            for (col, attr) in cols.iter_mut().zip(&attrs) {
+                self.read_chunk(chunk, attr.index() as u32, &mut raw)?;
+                col.clear();
+                for &offset in &live {
+                    col.push(self.dict.runtime_id(raw[offset as usize])?);
+                }
+            }
+            let block: Vec<&[ValueId]> = cols.iter().map(Vec::as_slice).collect();
+            hits.clear();
+            scan.scan_block(&block, None, &mut hits);
+            qc_slots.extend(hits.iter().map(|&i| base + u64::from(live[i as usize])));
+        }
+        scan.finish(out);
+        Ok(())
     }
 
     /// Materializes the live tuples as an in-memory [`Relation`] in
@@ -445,32 +511,24 @@ impl ColumnStore {
         self.pool.write_cell(&mut self.pager, page, offset, sid)
     }
 
-    pub(crate) fn read_sid(&mut self, slot: u64, attr: u32) -> Result<u32> {
+    fn read_sid(&mut self, slot: u64, attr: u32) -> Result<u32> {
         let (page, offset) = self.locate(slot, attr);
         self.pool.read_cell(&mut self.pager, page, offset)
     }
 
     /// The runtime [`ValueId`] stored at `(slot, attr)`.
-    pub(crate) fn read_id(&mut self, slot: u64, attr: u32) -> Result<ValueId> {
+    fn read_id(&mut self, slot: u64, attr: u32) -> Result<ValueId> {
         let sid = self.read_sid(slot, attr)?;
         self.dict.runtime_id(sid)
     }
 
     /// Reads the column chunk of `attr` covering slots
     /// `[chunk·PAGE_CELLS, …)` into `out` as raw store ids.
-    pub(crate) fn read_chunk(&mut self, chunk: u64, attr: u32, out: &mut Vec<u32>) -> Result<()> {
+    fn read_chunk(&mut self, chunk: u64, attr: u32, out: &mut Vec<u32>) -> Result<()> {
         out.clear();
         let page = chunk * self.arity as u64 + u64::from(attr);
         self.pool
             .read_cells(&mut self.pager, page, 0, PAGE_CELLS, out)
-    }
-
-    pub(crate) fn translate(&self, sid: u32) -> Result<ValueId> {
-        self.dict.runtime_id(sid)
-    }
-
-    pub(crate) fn is_dead(&self, slot: u64) -> bool {
-        self.dead.contains(&slot)
     }
 }
 

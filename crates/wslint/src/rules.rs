@@ -56,7 +56,8 @@ pub const HASH_ITERATION: RuleInfo = RuleInfo {
 
 /// `panic_path` (L3): `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
 /// `unimplemented!` in non-test code of the request-serving crates
-/// (`serve`, `detect`, `repair`, `relation`, `sqlgen`). Request paths
+/// (the root facade, `serve`, `detect`, `repair`, `relation`, `sqlgen`,
+/// `store`). Request paths
 /// return typed errors; a panic is at best a contained
 /// `Error::WorkerPanicked` and at worst a crashed process.
 pub const PANIC_PATH: RuleInfo = RuleInfo {
@@ -109,8 +110,10 @@ const HASH_SCOPED: [&str; 3] = [
     "crates/repair/src/",
 ];
 
-/// Crates in scope for [`PANIC_PATH`] (their `src/` trees).
-const PANIC_SCOPED: [&str; 6] = [
+/// Crates in scope for [`PANIC_PATH`] (their `src/` trees; `src/` is the
+/// root facade).
+const PANIC_SCOPED: [&str; 7] = [
+    "src/",
     "crates/serve/src/",
     "crates/detect/src/",
     "crates/repair/src/",

@@ -165,8 +165,15 @@ fn panic_path_fires_in_request_crates_and_skips_tests() {
         assert_eq!(rules_fired(&f), vec!["panic_path"], "macro {mac}");
     }
 
-    // Outside the guarded crates: not this rule's business.
+    // The root facade is guarded like the crates it fronts.
     let f = lint("src/x.rs", "fn f(x: Option<u32>) -> u32 { x.unwrap() }");
+    assert_eq!(rules_fired(&f), vec!["panic_path"]);
+
+    // Outside the guarded crates: not this rule's business.
+    let f = lint(
+        "crates/core/src/x.rs",
+        "fn f(x: Option<u32>) -> u32 { x.unwrap() }",
+    );
     assert!(rules_fired(&f).is_empty());
 
     // #[cfg(test)] code inside a guarded crate: exempt.

@@ -1,6 +1,7 @@
 //! Auditing a synthetic tax-records table — the workload of the paper's
-//! evaluation — through the prepared `Engine`/`Session` API: compile the
-//! constraint set once, serve detection with several engines, stream a
+//! evaluation: first with the paper's SQL query pairs (`Detector`), then
+//! through the prepared `Engine`/`Session` API — validate the constraint
+//! set once, serve detection with several engines, stream a
 //! batch of late-arriving records with incremental maintenance, then
 //! repair and re-validate from the same handle.
 //!
@@ -11,6 +12,17 @@ use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Runs one detection and prints how long it took and what it found.
+fn timed(name: &str, detect: impl FnOnce() -> Violations) {
+    let start = Instant::now();
+    let report = detect();
+    println!(
+        "{name} detection: {:?}, {} findings",
+        start.elapsed(),
+        report.total()
+    );
+}
 
 fn main() {
     // 20K tax records, 5% of which carry an injected error.
@@ -38,29 +50,33 @@ fn main() {
     ];
     let data = Arc::new(generated.relation);
 
-    // Per-CFD query pairs (2 × |Σ| passes) vs the merged pair (2 passes) vs
-    // 4-way parallel detection vs the cost-based planner: one compiled
-    // engine per serving strategy, all sharing the validated rule set.
-    for kind in [
-        DetectorKind::Sql,
-        DetectorKind::SqlMerged,
-        DetectorKind::SqlParallel { threads: 4 },
-        DetectorKind::Direct,
-        DetectorKind::Auto,
-    ] {
+    // The paper's detection (Section 4), run as SQL on the in-memory
+    // engine: per-CFD query pairs (2 × |Σ| passes), the merged pair
+    // (2 passes), and the per-CFD pairs spread over 4 threads.
+    let sql = Detector::new();
+    timed("per-CFD SQL", || {
+        sql.detect_set(&cfds, Arc::clone(&data)).unwrap()
+    });
+    timed("merged SQL", || {
+        sql.detect_set_merged(&cfds, Arc::clone(&data)).unwrap()
+    });
+    timed("4-way parallel SQL", || {
+        sql.detect_set_parallel(&cfds, Arc::clone(&data), 4)
+            .unwrap()
+    });
+
+    // The serving engines over the one scan kernel: the direct scan and the
+    // cost-based planner, one engine per kind sharing the validated rules.
+    for kind in [DetectorKind::Direct, DetectorKind::Auto] {
         let engine = Engine::builder()
             .rules(cfds.iter().cloned())
             .config(EngineConfig::builder().detector(kind).build().unwrap())
             .build()
             .expect("consistent rules");
         let mut session = engine.session(Arc::clone(&data)).unwrap();
-        let start = Instant::now();
-        let report = session.detect().expect("detection succeeds");
-        println!(
-            "{kind:?} detection: {:?}, {} findings",
-            start.elapsed(),
-            report.total()
-        );
+        timed(&format!("{kind:?}"), || {
+            session.detect().expect("detection succeeds")
+        });
     }
 
     // The serving path: one prepared engine, one session, streamed updates.

@@ -1,8 +1,9 @@
 //! One consolidated engine configuration.
 //!
-//! Detection and repair options used to be scattered — shard/thread counts
-//! on [`DetectorKind`], the SQL strategy on `cfd_detect::Detector`, weights,
-//! distances and placeholder typing on `cfd_repair::RepairConfig`.
+//! Detection and repair options used to be scattered — shard counts on
+//! [`DetectorKind`], weights, distances and placeholder typing on
+//! `cfd_repair::RepairConfig`, pool and WAL sizes on
+//! `cfd_store::StoreOptions`.
 //! [`EngineConfig`] gathers all of them behind one **validated** builder:
 //! invalid combinations (zero shards, a zero round budget, negative weights,
 //! …) are rejected at [`EngineConfigBuilder::build`] with
@@ -12,7 +13,6 @@
 use crate::error::{Error, Result};
 use cfd_detect::DetectorKind;
 use cfd_repair::{CostModel, RepairConfig, RepairKind};
-use cfd_sql::Strategy;
 use cfd_store::StoreOptions;
 
 /// Storage-layer knobs of disk-backed sessions
@@ -50,14 +50,12 @@ impl StorageConfig {
 
 /// The complete configuration of an [`Engine`](crate::Engine): which
 /// detection engine serves [`Session::detect`](crate::Session::detect),
-/// which SQL evaluation strategy the compiled query plans use, and the full
-/// repair configuration (engine kind, round budget, cost model, LHS-edit
-/// policy). Construct via [`EngineConfig::builder`]; the `Default` instance
+/// the full repair configuration (engine kind, round budget, cost model,
+/// LHS-edit policy) and the storage knobs of disk-backed sessions. Construct via [`EngineConfig::builder`]; the `Default` instance
 /// is the validated default configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     detector: DetectorKind,
-    strategy: Strategy,
     repair: RepairConfig,
     minimize: bool,
     storage: StorageConfig,
@@ -67,7 +65,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             detector: DetectorKind::Direct,
-            strategy: Strategy::default(),
             repair: RepairConfig::default(),
             minimize: false,
             storage: StorageConfig::default(),
@@ -85,11 +82,6 @@ impl EngineConfig {
     /// dispatches to.
     pub fn detector(&self) -> DetectorKind {
         self.detector
-    }
-
-    /// The SQL evaluation strategy of the compiled detection queries.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// The repair configuration (kind, round budget, cost model, LHS-edit
@@ -127,12 +119,6 @@ impl EngineConfigBuilder {
     /// [`Session::detection_plan`](crate::Session::detection_plan).
     pub fn detector(mut self, kind: DetectorKind) -> Self {
         self.config.detector = kind;
-        self
-    }
-
-    /// Selects the SQL evaluation strategy (default: DNF with index probes).
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.config.strategy = strategy;
         self
     }
 
@@ -216,8 +202,6 @@ impl EngineConfigBuilder {
     ///
     /// * `DetectorKind::Sharded { shards: 0 }` — a shard count of zero has
     ///   no partition to scan;
-    /// * `DetectorKind::SqlParallel { threads: 0 }` — likewise for worker
-    ///   threads;
     /// * `max_passes == 0` — a zero round budget cannot repair anything
     ///   while still reporting `satisfied = false` on dirty data;
     /// * `storage.pool_pages == 0` — a disk-backed session needs at least
@@ -229,14 +213,8 @@ impl EngineConfigBuilder {
     /// * a non-finite or negative tuple weight (default or override) — same.
     pub fn build(self) -> Result<EngineConfig> {
         let config = self.config;
-        match config.detector {
-            DetectorKind::Sharded { shards: 0 } => {
-                return Err(Error::Config("shard count must be at least 1".into()));
-            }
-            DetectorKind::SqlParallel { threads: 0 } => {
-                return Err(Error::Config("thread count must be at least 1".into()));
-            }
-            _ => {}
+        if config.detector == (DetectorKind::Sharded { shards: 0 }) {
+            return Err(Error::Config("shard count must be at least 1".into()));
         }
         if config.repair.max_passes == 0 {
             return Err(Error::Config("max_passes must be at least 1".into()));
@@ -289,7 +267,6 @@ mod tests {
     fn defaults_validate() {
         let config = EngineConfig::builder().build().unwrap();
         assert_eq!(config.detector(), DetectorKind::Direct);
-        assert_eq!(config.strategy(), Strategy::dnf());
         assert_eq!(config.repair().kind, RepairKind::EquivClass);
         assert_eq!(config.repair().max_passes, 16);
         assert!(config.repair().allow_lhs_edits);
@@ -302,7 +279,6 @@ mod tests {
     fn every_setter_reaches_the_config() {
         let config = EngineConfig::builder()
             .detector(DetectorKind::Sharded { shards: 4 })
-            .strategy(Strategy::cnf())
             .repair_kind(RepairKind::Heuristic)
             .max_passes(5)
             .cost_model(CostModel::with_edit_distance())
@@ -312,7 +288,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(config.detector(), DetectorKind::Sharded { shards: 4 });
-        assert_eq!(config.strategy(), Strategy::cnf());
         assert_eq!(config.repair().kind, RepairKind::Heuristic);
         assert_eq!(config.repair().max_passes, 5);
         assert!(!config.repair().allow_lhs_edits);
@@ -327,15 +302,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::Config(msg) if msg.contains("shard")));
-    }
-
-    #[test]
-    fn zero_parallel_threads_are_rejected() {
-        let err = EngineConfig::builder()
-            .detector(DetectorKind::SqlParallel { threads: 0 })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Config(msg) if msg.contains("thread")));
     }
 
     #[test]
@@ -432,9 +398,6 @@ mod tests {
     fn valid_nonzero_combinations_pass() {
         for kind in [
             DetectorKind::Direct,
-            DetectorKind::Sql,
-            DetectorKind::SqlMerged,
-            DetectorKind::SqlParallel { threads: 2 },
             DetectorKind::Sharded { shards: 8 },
             DetectorKind::Auto,
         ] {

@@ -2,65 +2,26 @@
 //!
 //! The paper's workflow (Sections 4–6) runs detect → incrementally maintain
 //! → repair against a *fixed* CFD set Σ. [`Engine`] is that fixed set in
-//! compiled form: schema-checked, consistency-validated (Section 3), with
-//! the `QC`/`QV` detection queries of Fig. 5 generated once per CFD and the
-//! per-CFD keyed/recheck plans decided up front. Serving a dataset is then
-//! [`Engine::session`] — all per-dataset state (LHS indexes, prepared query
-//! plans, column statistics for the adaptive detection planner, the
-//! embedded stream detector) lives in the [`Session`], never in the engine.
+//! validated form: schema-checked, consistency-validated (Section 3),
+//! optionally reduced to its minimal cover, and paired with one
+//! [`EngineConfig`]. Serving a dataset is then [`Engine::session`] — all
+//! per-dataset state (LHS indexes, column statistics and the plan of the
+//! adaptive detection planner, the embedded stream detector) lives in the
+//! [`Session`], never in the engine.
 
 use crate::config::EngineConfig;
 use crate::error::Result;
 use crate::session::Session;
 use cfd_core::{Cfd, CfdSet};
-use cfd_detect::{merged, single, DetectorKind, MergedTableaux, Violations};
+use cfd_detect::Violations;
 use cfd_relation::{Relation, Schema};
 use cfd_repair::{RepairKind, RepairResult};
-use cfd_sql::SelectQuery;
 use std::sync::Arc;
-
-/// Catalog name the compiled queries bind the session data under.
-pub(crate) const DATA_NAME: &str = "__data";
-/// Catalog name of the per-CFD pattern-tableau relation.
-pub(crate) const TABLEAU_NAME: &str = "__tableau";
-/// Catalog name of the merged (pre-joined `T^X_Σ ⋈ T^Y_Σ`) tableau relation.
-pub(crate) const JOINED_NAME: &str = "__tableau_xy";
-
-/// One CFD's compiled detection plan: its pattern tableau materialized as a
-/// relation, the generated `QC`/`QV` query pair (Fig. 5), and whether the
-/// CFD supports keyed (full-LHS index) evaluation.
-#[derive(Debug)]
-pub(crate) struct CfdPlan {
-    /// `false` for tableaux containing the don't-care symbol `@` (merged
-    /// artifacts): those group by effective attribute subsets a full-LHS
-    /// index cannot reproduce, so sessions fall back to row scans for them.
-    pub keyed: bool,
-    /// The tableau as a catalog relation named [`TABLEAU_NAME`].
-    pub tableau: Arc<Relation>,
-    /// The single-tuple (`QC`) violation query.
-    pub qc: SelectQuery,
-    /// The multi-tuple (`QV`) violation query.
-    pub qv: SelectQuery,
-}
-
-/// The merged two-pass plan of Section 4.2: the pre-joined
-/// `T^X_Σ ⋈ T^Y_Σ` relation plus the `CASE`-masked merged query pair.
-#[derive(Debug)]
-pub(crate) struct MergedPlan {
-    /// The joined tableau as a catalog relation named [`JOINED_NAME`].
-    pub joined: Arc<Relation>,
-    /// The merged `QC` query.
-    pub qc: SelectQuery,
-    /// The merged `QV` query.
-    pub qv: SelectQuery,
-}
 
 #[derive(Debug)]
 struct EngineInner {
     rules: CfdSet,
     config: EngineConfig,
-    plans: Vec<CfdPlan>,
-    merged: Option<MergedPlan>,
 }
 
 /// A rule set compiled for serving: immutable, cheap to clone, and shared
@@ -69,21 +30,19 @@ struct EngineInner {
 /// # Sharing contract
 ///
 /// `Engine` is **immutable** and `Send + Sync`: after [`EngineBuilder::build`]
-/// succeeds, nothing about it ever changes — the validated [`CfdSet`], the
-/// compiled `QC`/`QV` query plans, the per-CFD keyed/recheck decisions and
-/// the [`EngineConfig`] are all frozen. Cloning an `Engine` clones an
-/// [`Arc`] handle to that frozen state, so one engine can serve any number
-/// of concurrent [`Session`]s, each on its own thread and dataset, with no
-/// locking anywhere. Mutable per-dataset state (LHS indexes, prepared query
-/// bindings, stream maintenance) lives exclusively in the `Session`.
+/// succeeds, nothing about it ever changes — the validated [`CfdSet`] and
+/// the [`EngineConfig`] are frozen. Cloning an `Engine` clones an [`Arc`]
+/// handle to that frozen state, so one engine can serve any number of
+/// concurrent [`Session`]s, each on its own thread and dataset, with no
+/// locking anywhere. Mutable per-dataset state (LHS indexes, statistics,
+/// plans, stream maintenance) lives exclusively in the `Session`.
 ///
 /// # Determinism guarantees
 ///
 /// For a fixed engine, every serving path is deterministic:
 /// [`Session::detect`] reports are byte-identical to running the configured
-/// [`DetectorKind`] from scratch on the session's current instance (with the
-/// documented [`DetectorKind::SqlMerged`] multi-CFD `QV` key-space
-/// exception), [`Session::repair`] produces byte-identical modification
+/// [`DetectorKind`](cfd_detect::DetectorKind) from scratch on the session's
+/// current instance, [`Session::repair`] produces byte-identical modification
 /// logs and repaired instances to the one-shot
 /// [`repair_violations`](crate::repair_violations) on the same snapshot, and
 /// [`Session::apply_batch`] maintains exactly the report a from-scratch
@@ -118,8 +77,8 @@ impl Engine {
 
     /// Opens a serving session over `data`.
     ///
-    /// Cheap: per-dataset state (LHS indexes, prepared query plans, the
-    /// stream detector) is built lazily by the session methods that need it.
+    /// Cheap: per-dataset state (LHS indexes, statistics, the stream
+    /// detector) is built lazily by the session methods that need it.
     /// Errors with [`Error::SchemaMismatch`](crate::Error::SchemaMismatch) when `data`'s schema differs
     /// from the rules' schema.
     pub fn session(&self, data: Arc<Relation>) -> Result<Session> {
@@ -155,11 +114,12 @@ impl Engine {
             schema,
             self.config().storage().to_options(),
         )?;
-        Session::on_store(self.clone(), store)
+        Ok(Session::on_store(self.clone(), store))
     }
 
     /// One-shot convenience: open a throwaway session over `data` and
-    /// detect with the configured [`DetectorKind`].
+    /// detect with the configured
+    /// [`DetectorKind`](cfd_detect::DetectorKind).
     pub fn detect(&self, data: Arc<Relation>) -> Result<Violations> {
         self.session(data)?.detect()
     }
@@ -169,14 +129,6 @@ impl Engine {
     /// engine configuration).
     pub fn repair(&self, data: Arc<Relation>, kind: RepairKind) -> Result<RepairResult> {
         self.session(data)?.repair(kind)
-    }
-
-    pub(crate) fn plans(&self) -> &[CfdPlan] {
-        &self.inner.plans
-    }
-
-    pub(crate) fn merged_plan(&self) -> Option<&MergedPlan> {
-        self.inner.merged.as_ref()
     }
 }
 
@@ -217,7 +169,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Validates the rules and compiles the engine.
+    /// Validates the rules and builds the engine.
     ///
     /// Build-time validation, in order:
     ///
@@ -226,52 +178,21 @@ impl EngineBuilder {
     ///    admits no nonempty satisfying instance, so it is rejected with
     ///    [`Error::InconsistentRules`](crate::Error::InconsistentRules) before any data is touched
     ///    (don't-care `@` tableaux are exempt; see
-    ///    [`CfdSet::ensure_consistent`]);
-    /// 3. with [`DetectorKind::SqlMerged`] configured, the tableaux must be
-    ///    mergeable (Section 4.2) — surfaced now, as the typed
-    ///    [`Error::Rules`](crate::Error::Rules) problem it is, rather than
-    ///    at first detect.
-    ///
-    /// Compilation then generates each CFD's `QC`/`QV` query pair and
-    /// tableau relation (plus the merged pair when configured) exactly once;
-    /// sessions only ever *bind* these plans to data.
+    ///    [`CfdSet::ensure_consistent`]).
     pub fn build(self) -> Result<Engine> {
         let mut rules = CfdSet::from_cfds(self.rules)?;
         rules.ensure_consistent()?;
-        // With minimize_rules configured, compile the minimal cover instead
+        // With minimize_rules configured, serve the minimal cover instead
         // of Σ itself (MINCOVER, Section 3.3): equivalent by implication,
-        // fewer plans to compile and fewer steps to execute.
+        // fewer steps to plan and execute.
         if self.config.minimize_rules() {
             rules = rules.minimal_cover()?;
         }
-
-        let plans: Vec<CfdPlan> = rules
-            .iter()
-            .map(|cfd| CfdPlan {
-                keyed: !cfd.has_dont_care(),
-                tableau: Arc::new(single::tableau_relation(cfd, TABLEAU_NAME)),
-                qc: single::qc_query(cfd, DATA_NAME, TABLEAU_NAME),
-                qv: single::qv_query(cfd, DATA_NAME, TABLEAU_NAME),
-            })
-            .collect();
-
-        let merged = if self.config.detector() == DetectorKind::SqlMerged {
-            let merged = MergedTableaux::build(rules.cfds())?;
-            Some(MergedPlan {
-                joined: Arc::new(merged.joined_relation(JOINED_NAME)),
-                qc: merged::qc_merged(&merged, DATA_NAME, JOINED_NAME),
-                qv: merged::qv_merged(&merged, DATA_NAME, JOINED_NAME),
-            })
-        } else {
-            None
-        };
 
         Ok(Engine {
             inner: Arc::new(EngineInner {
                 rules,
                 config: self.config,
-                plans,
-                merged,
             }),
         })
     }
@@ -296,15 +217,7 @@ mod tests {
         let engine = Engine::builder().rule_set(fig2_cfd_set()).build().unwrap();
         assert_eq!(engine.rules().len(), 3);
         assert_eq!(engine.schema().unwrap().name(), "cust");
-        assert_eq!(engine.plans().len(), 3);
-        assert!(engine.plans().iter().all(|p| p.keyed));
-        assert!(engine.merged_plan().is_none(), "only built for SqlMerged");
-        // The compiled queries are the Fig. 5 pair.
-        assert!(engine.plans()[1].qc.to_string().contains("SELECT t.*"));
-        assert!(engine.plans()[1]
-            .qv
-            .to_string()
-            .contains("HAVING count(distinct"));
+        assert_eq!(engine.config().detector(), cfd_detect::DetectorKind::Direct);
     }
 
     #[test]
@@ -359,39 +272,6 @@ mod tests {
             err,
             Error::Rules(cfd_core::CfdError::MixedSchemas { .. })
         ));
-    }
-
-    #[test]
-    fn merged_plan_is_compiled_when_configured() {
-        let engine = Engine::builder()
-            .rule(phi2())
-            .config(
-                EngineConfig::builder()
-                    .detector(DetectorKind::SqlMerged)
-                    .build()
-                    .unwrap(),
-            )
-            .build()
-            .unwrap();
-        let plan = engine.merged_plan().expect("merged plan compiled");
-        assert!(!plan.joined.is_empty());
-        assert!(plan.qv.to_string().contains("CASE"), "{}", plan.qv);
-    }
-
-    #[test]
-    fn unmergeable_rules_under_sql_merged_surface_as_typed_rule_errors() {
-        // An empty rule set cannot produce a merged tableau: the build fails
-        // with the underlying CfdError, not an opaque SQL error.
-        let err = Engine::builder()
-            .config(
-                EngineConfig::builder()
-                    .detector(DetectorKind::SqlMerged)
-                    .build()
-                    .unwrap(),
-            )
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Rules(_)), "got {err:?}");
     }
 
     #[test]

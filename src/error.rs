@@ -43,11 +43,23 @@ pub enum Error {
         /// Schema name of the offered data.
         data: String,
     },
-    /// A detection worker thread panicked. The panic was contained at the
-    /// thread join — the session (and every other session of the process)
-    /// remains usable; re-running the request re-executes the work from the
-    /// prepared state. In a multi-tenant deployment this is the variant that
-    /// keeps one tenant's fault from taking down the others.
+    /// A [`RepairResult`](cfd_repair::RepairResult) was handed to
+    /// [`Session::commit_repair`](crate::Session::commit_repair) after the
+    /// session's instance had moved on: its row indices describe a snapshot
+    /// that no longer exists. Nothing was edited; repair again and commit
+    /// the fresh result.
+    StaleResult {
+        /// The session generation the result was computed against.
+        result: u64,
+        /// The session's current generation.
+        session: u64,
+    },
+    /// A worker thread executing a request panicked. The panic was
+    /// contained (the serving layer's pool catches it) — the session and
+    /// every other session of the process remain usable; re-running the
+    /// request re-executes the work. In a multi-tenant deployment this is
+    /// the variant that keeps one tenant's fault from taking down the
+    /// others.
     WorkerPanicked,
     /// An error bubbled up from the SQL substrate.
     Sql(SqlError),
@@ -71,10 +83,14 @@ impl fmt::Display for Error {
                 f,
                 "schema mismatch: rules compiled for `{rules}`, data is `{data}`"
             ),
-            Error::WorkerPanicked => write!(
+            Error::StaleResult { result, session } => write!(
                 f,
-                "a detection worker thread panicked; the session remains usable"
+                "stale repair result: computed against generation {result}, \
+                 the session is at generation {session}"
             ),
+            Error::WorkerPanicked => {
+                write!(f, "a worker thread panicked; the session remains usable")
+            }
             Error::Sql(e) => write!(f, "sql error: {e}"),
             Error::Relation(e) => write!(f, "relation error: {e}"),
             Error::Store(e) => write!(f, "store error: {e}"),
@@ -170,6 +186,14 @@ mod tests {
         };
         assert!(mismatch.to_string().contains("cust"));
         assert!(mismatch.to_string().contains("tax"));
+
+        let stale = Error::StaleResult {
+            result: 2,
+            session: 5,
+        };
+        assert!(stale.to_string().contains("generation 2"));
+        assert!(stale.to_string().contains("generation 5"));
+        assert!(stale.source().is_none());
 
         let panicked = Error::WorkerPanicked;
         assert!(panicked.to_string().contains("panicked"));

@@ -4,9 +4,8 @@
 //! for Data Cleaning* (Bohannon, Fan, Geerts, Jia, Kementsietsidis,
 //! ICDE 2007), built around a two-level **prepared-state** model:
 //!
-//! 1. **[`Engine`]** — a rule set compiled once: schema-checked,
-//!    consistency-validated (Section 3), `QC`/`QV` detection queries
-//!    generated (Section 4), per-CFD recheck plans decided. Immutable,
+//! 1. **[`Engine`]** — a rule set validated once: schema-checked,
+//!    consistency-validated (Section 3), optionally minimized. Immutable,
 //!    `Send + Sync`, cheap to clone — built via [`EngineBuilder`] with an
 //!    [`EngineConfig`].
 //! 2. **[`Session`]** — one dataset served against that engine:
@@ -37,13 +36,15 @@
 //! The workspace crates stay importable for lower-level use:
 //!
 //! * [`relation`] — values, schemas, tuples, in-memory columnar relations.
-//! * [`sql`] — the SQL AST/executor used by the detection queries.
+//! * [`sql`] — the SQL AST/executor the paper's detection queries run on.
 //! * [`core`] — CFDs, pattern tableaux, satisfaction, consistency, the
 //!   inference system and minimal covers.
-//! * [`detect`] — SQL-based, direct, hash-sharded parallel and incremental
-//!   (streaming) violation detection, selectable via [`DetectorKind`] —
-//!   including [`DetectorKind::Auto`], the cost-based adaptive planner over
-//!   vectorized columnar scan kernels.
+//! * [`detect`] — direct, hash-sharded parallel and incremental (streaming)
+//!   violation detection over one vectorized scan kernel, selectable via
+//!   [`DetectorKind`] — including [`DetectorKind::Auto`], the cost-based
+//!   adaptive planner — plus [`detect::Detector`], the paper's SQL `QC`/`QV`
+//!   query pairs (Section 4), kept as the reproduction and the differential
+//!   reference rather than a serving engine.
 //! * [`repair`] — cost-based repair (Section 6) behind [`RepairKind`].
 //! * [`store`] — the durable storage layer behind
 //!   [`Engine::session_on_disk`]: pager, bounded buffer pool, persisted

@@ -3,72 +3,202 @@
 //! A [`Session`] owns everything about serving one evolving dataset against
 //! a compiled [`Engine`]:
 //!
-//! * the **current instance** (an [`Arc<Relation>`] snapshot, re-gathered
-//!   lazily after stream batches);
+//! * the **current instance** — an in-memory relation, or a disk-backed
+//!   [`ColumnStore`] behind the same API;
 //! * the per-CFD **LHS indexes**, built once per snapshot and *shared*
 //!   between the detector ([`cfd_detect::detect_with_index`]) and the repair
 //!   engine's dirty-group tracking
 //!   ([`Repairer::repair_with_indexes`](cfd_repair::Repairer::repair_with_indexes));
-//! * the **prepared SQL plans** ([`cfd_sql::PreparedQuery`]) binding the
-//!   engine's compiled `QC`/`QV` queries to the snapshot — compiled
-//!   expressions and derived probe indexes persist across `detect` calls;
+//! * the **column statistics** and the [`DetectionPlan`] the adaptive
+//!   planner derived from them;
 //! * an embedded [`IncrementalDetector`] so [`Session::apply_batch`] streams
 //!   mixed insert/delete batches against the same handle with group-local
 //!   maintenance instead of rescans.
 //!
 //! Everything is built lazily by the first method that needs it, so opening
-//! a session is cheap, and a pure streaming session never materializes
-//! prepared SQL it does not use.
+//! a session is cheap, and a pure streaming session never builds indexes or
+//! plans it does not use.
 
-use crate::engine::{Engine, DATA_NAME, JOINED_NAME, TABLEAU_NAME};
+use crate::engine::Engine;
 use crate::error::{Error, Result};
 use cfd_core::{Cfd, PatternTuple, ViolationKind, ViolationWitness, WitnessCells};
 use cfd_detect::{
-    detect_with_index, BatchOp, DetectionPlan, DirectDetector, Planner, ShardedDetector,
-    ViolationItem, Violations,
+    detect_with_index, BatchOp, DetectionPlan, DetectorKind, DirectDetector, IncrementalDetector,
+    Planner, ShardedDetector, ViolationItem, Violations,
 };
 use cfd_relation::{
     project_cols, AttrId, Index, Relation, RelationStats, Schema, Tuple, Value, ValueId,
 };
 use cfd_repair::{RepairKind, RepairResult, Repairer};
-use cfd_sql::{Catalog, Executor, PreparedQuery};
-use cfd_sql::{ResultSet, SelectQuery};
 use cfd_store::{ColumnStore, PoolStats};
 use std::sync::Arc;
 
-use cfd_detect::DetectorKind;
+/// Who owns the served instance. Every state names its owner, so reading
+/// the instance never has to assume one exists.
+#[derive(Debug)]
+enum Backing {
+    /// In memory, snapshot current: `rel` is the instance and `stream`
+    /// (built by the first preview or batch) mirrors it.
+    Fresh {
+        rel: Arc<Relation>,
+        stream: Option<IncrementalDetector>,
+    },
+    /// In memory, batches applied since the last snapshot: the stream
+    /// detector's slot store is the instance.
+    Streamed(IncrementalDetector),
+    /// On disk ([`Engine::session_on_disk`]): the store is the instance and
+    /// batches commit through its WAL; `snapshot` and `stream` are
+    /// materialized views every commit drops.
+    Disk {
+        store: Box<ColumnStore>,
+        snapshot: Option<Arc<Relation>>,
+        stream: Option<IncrementalDetector>,
+    },
+}
+
+impl Backing {
+    fn schema(&self) -> &Schema {
+        match self {
+            Backing::Fresh { rel, .. } => rel.schema(),
+            Backing::Streamed(stream) => stream.schema(),
+            Backing::Disk { store, .. } => store.schema(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Backing::Fresh { rel, .. } => rel.len(),
+            Backing::Streamed(stream) => stream.len(),
+            Backing::Disk { store, .. } => store.len(),
+        }
+    }
+
+    fn store(&self) -> Option<&ColumnStore> {
+        match self {
+            Backing::Disk { store, .. } => Some(store),
+            _ => None,
+        }
+    }
+
+    /// The current instance as a relation, regathered from the stream
+    /// detector or materialized from the store when stale.
+    fn snapshot(&mut self) -> Result<Arc<Relation>> {
+        match self {
+            Backing::Fresh { rel, .. } => Ok(Arc::clone(rel)),
+            Backing::Disk {
+                store, snapshot, ..
+            } => materialized(store, snapshot),
+            Backing::Streamed(stream) => {
+                let rel = Arc::new(stream.current_relation());
+                // The detector moves into the fresh state, beside the
+                // snapshot it now mirrors.
+                let fresh = Backing::Fresh {
+                    rel: Arc::clone(&rel),
+                    stream: None,
+                };
+                if let Backing::Streamed(stream) = std::mem::replace(self, fresh) {
+                    *self = Backing::Fresh {
+                        rel: Arc::clone(&rel),
+                        stream: Some(stream),
+                    };
+                }
+                Ok(rel)
+            }
+        }
+    }
+
+    /// The stream detector over the current instance, built on first use.
+    fn stream(&mut self, cfds: &[Cfd]) -> Result<&mut IncrementalDetector> {
+        match self {
+            Backing::Fresh { rel, stream } => Ok(stream
+                .get_or_insert_with(|| IncrementalDetector::new((**rel).clone(), cfds.to_vec()))),
+            Backing::Streamed(stream) => Ok(stream),
+            Backing::Disk {
+                store,
+                snapshot,
+                stream,
+            } => {
+                let built = match stream.take() {
+                    Some(built) => built,
+                    None => {
+                        let base = materialized(store, snapshot)?;
+                        IncrementalDetector::new((*base).clone(), cfds.to_vec())
+                    }
+                };
+                Ok(stream.insert(built))
+            }
+        }
+    }
+
+    /// Retires the snapshot after a committed change: an in-memory stream
+    /// detector becomes the owner, a disk session drops both views of the
+    /// superseded store contents.
+    fn supersede(&mut self) {
+        let streamed = match self {
+            Backing::Fresh { stream, .. } => stream.take(),
+            Backing::Streamed(_) => None,
+            Backing::Disk {
+                snapshot, stream, ..
+            } => {
+                *snapshot = None;
+                *stream = None;
+                None
+            }
+        };
+        if let Some(stream) = streamed {
+            *self = Backing::Streamed(stream);
+        }
+    }
+}
+
+/// The store's live tuples as a relation (live-slot order), cached in
+/// `snapshot` until the next commit.
+fn materialized(
+    store: &mut ColumnStore,
+    snapshot: &mut Option<Arc<Relation>>,
+) -> Result<Arc<Relation>> {
+    let current = match snapshot.take() {
+        Some(current) => current,
+        None => Arc::new(store.materialize()?),
+    };
+    Ok(Arc::clone(snapshot.insert(current)))
+}
+
+/// The per-CFD LHS indexes over `snapshot`, built on first use. Don't-care
+/// CFDs get a `None` slot: their tableaux group by attribute subsets a
+/// full-LHS index cannot reproduce, so they are scanned instead.
+fn ensure_indexes<'a>(
+    slot: &'a mut Option<Vec<Option<Index>>>,
+    cfds: &[Cfd],
+    snapshot: &Relation,
+) -> &'a [Option<Index>] {
+    slot.get_or_insert_with(|| {
+        cfds.iter()
+            .map(|cfd| (!cfd.has_dont_care()).then(|| snapshot.build_index(cfd.lhs())))
+            .collect()
+    })
+}
 
 /// A serving session over one dataset (see the crate docs for the
 /// lifecycle).
 ///
-/// Obtained from [`Engine::session`]. Methods take `&mut self` because the
-/// session caches prepared per-snapshot state internally; for concurrent
-/// serving, open one session per thread over the same shared `Engine` and
-/// `Arc<Relation>`.
+/// Obtained from [`Engine::session`] or [`Engine::session_on_disk`]. Methods
+/// take `&mut self` because the session caches prepared per-snapshot state
+/// internally; for concurrent serving, open one session per thread over the
+/// same shared `Engine` and `Arc<Relation>`.
 #[derive(Debug)]
 pub struct Session {
     engine: Engine,
-    /// The disk-backed store of a session opened via
-    /// [`Engine::session_on_disk`]; `None` for in-memory sessions. When
-    /// present it is the authoritative instance — the snapshot is a
-    /// materialized view of it, and batches commit through its WAL.
-    store: Option<ColumnStore>,
-    /// Stream maintenance state; created by the first preview/batch call.
-    stream: Option<cfd_detect::IncrementalDetector>,
-    /// Materialized snapshot of the current instance. `None` only while
-    /// stale after a batch (re-gathered lazily from `stream`).
-    snapshot: Option<Arc<Relation>>,
-    /// Per-CFD LHS indexes over the snapshot (`None` slots for don't-care
-    /// CFDs), built once per snapshot.
+    backing: Backing,
+    /// Commits applied so far ([`Session::apply_batch`], [`Session::ingest`],
+    /// [`Session::commit_repair`]): what a [`RepairResult`] is stamped with
+    /// and checked against.
+    generation: u64,
+    /// Per-CFD LHS indexes over the snapshot, built once per snapshot.
     indexes: Option<Vec<Option<Index>>>,
-    /// Per-CFD prepared `QC`/`QV` plans bound to the snapshot.
-    prepared: Option<Vec<(PreparedQuery, PreparedQuery)>>,
-    /// The prepared merged pair (Section 4.2), when the engine compiled one.
-    prepared_merged: Option<(PreparedQuery, PreparedQuery)>,
     /// Column/group statistics of the snapshot, collected lazily by the
     /// first [`DetectorKind::Auto`] detection and grown on demand as the
-    /// planner asks about new attribute sets. Bound to the snapshot:
-    /// invalidated (with [`Session::detection_plan`]) by every applied batch.
+    /// planner asks about new attribute sets.
     stats: Option<RelationStats>,
     /// The detection plan of the most recent [`DetectorKind::Auto`] run.
     plan: Option<DetectionPlan>,
@@ -84,39 +214,39 @@ impl Session {
                 });
             }
         }
-        Ok(Session {
-            engine,
-            store: None,
+        let backing = Backing::Fresh {
+            rel: data,
             stream: None,
-            snapshot: Some(data),
-            indexes: None,
-            prepared: None,
-            prepared_merged: None,
-            stats: None,
-            plan: None,
-        })
+        };
+        Ok(Session::over(engine, backing))
     }
 
     /// Opens a session over an already-recovered [`ColumnStore`] (the
     /// store's schema was checked against the engine's when it was opened).
-    pub(crate) fn on_store(engine: Engine, store: ColumnStore) -> Result<Self> {
-        Ok(Session {
-            engine,
-            store: Some(store),
-            stream: None,
+    pub(crate) fn on_store(engine: Engine, store: ColumnStore) -> Self {
+        let backing = Backing::Disk {
+            store: Box::new(store),
             snapshot: None,
+            stream: None,
+        };
+        Session::over(engine, backing)
+    }
+
+    fn over(engine: Engine, backing: Backing) -> Self {
+        Session {
+            engine,
+            backing,
+            generation: 0,
             indexes: None,
-            prepared: None,
-            prepared_merged: None,
             stats: None,
             plan: None,
-        })
+        }
     }
 
     /// Whether this session serves a disk-backed store
     /// ([`Engine::session_on_disk`]) rather than an in-memory relation.
     pub fn is_disk_backed(&self) -> bool {
-        self.store.is_some()
+        self.backing.store().is_some()
     }
 
     /// Buffer-pool accounting of the disk-backed store (`None` for
@@ -125,7 +255,7 @@ impl Session {
     /// [`StorageConfig::pool_pages`](crate::StorageConfig) however large
     /// the instance is.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.store.as_ref().map(ColumnStore::pool_stats)
+        self.backing.store().map(ColumnStore::pool_stats)
     }
 
     /// Batches durably committed by the disk-backed store (`None` for
@@ -133,14 +263,14 @@ impl Session {
     /// whose [`Session::apply_batch`]/[`Session::ingest`] call reported
     /// success are counted — the kill-and-recover harness asserts this.
     pub fn committed_batches(&self) -> Option<u64> {
-        self.store.as_ref().map(ColumnStore::committed_batches)
+        self.backing.store().map(ColumnStore::committed_batches)
     }
 
     /// Forces the disk-backed store to checkpoint now (no-op result on
     /// in-memory sessions): dirty pages, dictionary and metadata are made
     /// durable and the WAL is truncated.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if let Some(store) = self.store.as_mut() {
+        if let Backing::Disk { store, .. } = &mut self.backing {
             store.checkpoint()?;
         }
         Ok(())
@@ -153,26 +283,12 @@ impl Session {
 
     /// The schema of the served instance.
     pub fn schema(&self) -> &Schema {
-        if let Some(store) = &self.store {
-            return store.schema();
-        }
-        match (&self.snapshot, &self.stream) {
-            (Some(snap), _) => snap.schema(),
-            (None, Some(stream)) => stream.schema(),
-            (None, None) => unreachable!("session always holds a snapshot, stream or store"),
-        }
+        self.backing.schema()
     }
 
     /// Number of live rows in the served instance.
     pub fn len(&self) -> usize {
-        if let Some(store) = &self.store {
-            return store.len();
-        }
-        match (&self.snapshot, &self.stream) {
-            (Some(snap), None) => snap.len(),
-            (_, Some(stream)) => stream.len(),
-            (None, None) => unreachable!("session always holds a snapshot, stream or store"),
-        }
+        self.backing.len()
     }
 
     /// Whether the served instance is empty.
@@ -185,27 +301,14 @@ impl Session {
     /// **materialized from the store** (in live-slot order) on disk-backed
     /// sessions — which is the only way this can fail.
     pub fn snapshot(&mut self) -> Result<Arc<Relation>> {
-        if self.snapshot.is_none() {
-            let gathered = if let Some(stream) = &self.stream {
-                stream.current_relation()
-            } else if let Some(store) = self.store.as_mut() {
-                store.materialize()?
-            } else {
-                unreachable!("a stale snapshot implies stream or store state")
-            };
-            self.snapshot = Some(Arc::new(gathered));
-        }
-        Ok(Arc::clone(self.snapshot.as_ref().expect("just ensured")))
+        self.backing.snapshot()
     }
 
     /// Detects the violations of the current instance with the engine's
-    /// configured [`DetectorKind`], through the prepared state:
+    /// configured [`DetectorKind`]:
     ///
     /// * `Direct` — the group-driven scan over the session's shared LHS
     ///   indexes (don't-care CFDs fall back to the row scan);
-    /// * `Sql` / `SqlParallel` — the prepared `QC`/`QV` plans, sequential or
-    ///   spread over scoped worker threads;
-    /// * `SqlMerged` — the prepared merged pair (Section 4.2);
     /// * `Sharded` — hash-partitioned parallel scan of the snapshot;
     /// * `Auto` — the cost-based [`Planner`](cfd_detect::Planner): per-CFD
     ///   strategies chosen from cached column statistics of the snapshot
@@ -213,98 +316,55 @@ impl Session {
     ///   chosen plan is kept for inspection via [`Session::detection_plan`].
     ///
     /// Reports are byte-identical to running the same [`DetectorKind`] from
-    /// scratch on [`Session::snapshot`] — the differential harness pins
-    /// this across every engine.
+    /// scratch on [`Session::snapshot`] — and to the paper's SQL query pairs
+    /// ([`cfd_detect::Detector`]); the differential harness pins both.
     ///
-    /// On a **disk-backed** session, the scan-based kinds (`Direct`,
-    /// `Sharded`, `Auto`) run as a streaming scan over the store whose page
-    /// memory is bounded by the buffer pool — byte-identical to the direct
-    /// scan, as all three contractually are — without materializing the
-    /// instance. The SQL kinds materialize a snapshot first (the prepared
-    /// plans need a bound relation).
+    /// On a **disk-backed** session every kind runs as
+    /// [`ColumnStore::detect`]: the same scan kernel fed one page chunk at a
+    /// time, page memory bounded by the buffer pool, without materializing
+    /// the instance.
     pub fn detect(&mut self) -> Result<Violations> {
-        if let Some(store) = self.store.as_mut() {
-            if matches!(
-                self.engine.config().detector(),
-                DetectorKind::Direct | DetectorKind::Sharded { .. } | DetectorKind::Auto
-            ) {
-                return Ok(store.detect(self.engine.rules().cfds())?);
-            }
+        let cfds = self.engine.rules().cfds();
+        if let Backing::Disk { store, .. } = &mut self.backing {
+            return Ok(store.detect(cfds)?);
         }
+        let snapshot = self.backing.snapshot()?;
         match self.engine.config().detector() {
-            DetectorKind::Direct => self.detect_direct(),
-            DetectorKind::Sql => {
-                self.ensure_prepared()?;
+            DetectorKind::Direct => {
+                let indexes = ensure_indexes(&mut self.indexes, cfds, &snapshot);
                 let mut out = Violations::new();
-                for pair in self.prepared.as_ref().expect("just ensured") {
-                    out.merge(run_pair(pair)?);
-                }
-                Ok(out)
-            }
-            DetectorKind::SqlParallel { threads } => {
-                self.ensure_prepared()?;
-                let pairs = self.prepared.as_ref().expect("just ensured");
-                if pairs.is_empty() {
-                    return Ok(Violations::new());
-                }
-                let threads = threads.max(1).min(pairs.len());
-                let chunk_size = pairs.len().div_ceil(threads);
-                let results = std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for chunk in pairs.chunks(chunk_size) {
-                        handles.push(scope.spawn(move || {
-                            let mut out = Violations::new();
-                            for pair in chunk {
-                                out.merge(run_pair(pair)?);
-                            }
-                            Ok::<_, Error>(out)
-                        }));
+                for (cfd, index) in cfds.iter().zip(indexes) {
+                    match index {
+                        Some(index) => out.merge(detect_with_index(cfd, &snapshot, index)),
+                        None => out.merge(DirectDetector::new().detect(cfd, &snapshot)),
                     }
-                    handles.into_iter().map(join_worker).collect::<Vec<_>>()
-                });
-                let mut out = Violations::new();
-                for r in results {
-                    out.merge(r?);
                 }
                 Ok(out)
-            }
-            DetectorKind::SqlMerged => {
-                self.ensure_prepared_merged()?;
-                run_pair(self.prepared_merged.as_ref().expect("just ensured"))
             }
             DetectorKind::Sharded { shards } => {
-                let snapshot = self.snapshot()?;
-                Ok(ShardedDetector::new(shards).detect_set(self.engine.rules().cfds(), &snapshot))
+                Ok(ShardedDetector::new(shards).detect_set(cfds, &snapshot))
             }
             DetectorKind::Auto => {
-                let snapshot = self.snapshot()?;
                 let planner = Planner::new();
-                // The plan is prepared state like the indexes and compiled
-                // SQL: computed once per snapshot (batches invalidate it
-                // with the statistics it came from) and served from cache
-                // on repeated detections.
-                if self.plan.is_none() {
-                    if self.stats.is_none() {
-                        self.stats = Some(RelationStats::new(&snapshot));
+                // The plan is prepared state like the indexes: computed
+                // once per snapshot (commits invalidate it with the
+                // statistics it came from) and served from cache on
+                // repeated detections. Indexes amortize across detections
+                // on a served snapshot, so plan with `index_reusable`.
+                let plan = match self.plan.take() {
+                    Some(plan) => plan,
+                    None => {
+                        let stats = self
+                            .stats
+                            .get_or_insert_with(|| RelationStats::new(&snapshot));
+                        planner.plan(cfds, &snapshot, stats, true)
                     }
-                    // Indexes amortize across detections on a served
-                    // snapshot, so plan with `index_reusable = true`.
-                    self.plan = Some(planner.plan(
-                        self.engine.rules().cfds(),
-                        &snapshot,
-                        self.stats.as_mut().expect("just ensured"),
-                        true,
-                    ));
+                };
+                let plan = self.plan.insert(plan);
+                if plan.needs_indexes() {
+                    ensure_indexes(&mut self.indexes, cfds, &snapshot);
                 }
-                if self.plan.as_ref().expect("just ensured").needs_indexes() {
-                    self.ensure_indexes()?;
-                }
-                Ok(planner.execute(
-                    self.plan.as_ref().expect("just ensured"),
-                    self.engine.rules().cfds(),
-                    &snapshot,
-                    self.indexes.as_deref(),
-                ))
+                Ok(planner.execute(plan, cfds, &snapshot, self.indexes.as_deref()))
             }
         }
     }
@@ -313,9 +373,9 @@ impl Session {
     /// on this session: per fused step, the strategy the cost model picked,
     /// every scored candidate, and the group-cardinality estimate it was
     /// based on. `None` before the first `Auto` detection and after every
-    /// applied batch (a batch invalidates the statistics the plan was built
-    /// from). Disk-backed sessions run `Auto` as the streaming store scan
-    /// and never populate a plan.
+    /// commit (which invalidates the statistics the plan was built from).
+    /// Disk-backed sessions run `Auto` as the streaming store scan and
+    /// never populate a plan.
     pub fn detection_plan(&self) -> Option<&DetectionPlan> {
         self.plan.as_ref()
     }
@@ -327,9 +387,8 @@ impl Session {
     /// The session itself is **not** mutated — the result carries the
     /// repaired instance, byte-identical to the one-shot
     /// [`repair_violations`](crate::repair_violations) on
-    /// [`Session::snapshot`]. To keep serving the repaired data, open a
-    /// session over `result.repaired`, or feed the changes back as a
-    /// delete/insert batch via [`Session::apply_batch`].
+    /// [`Session::snapshot`]. To keep serving the repaired data, hand the
+    /// result to [`Session::commit_repair`].
     pub fn repair(&mut self, kind: RepairKind) -> Result<RepairResult> {
         let threads = self.engine.config().repair().threads;
         self.repair_with_threads(kind, threads)
@@ -342,12 +401,17 @@ impl Session {
     /// budget** — this knob only trades wall-clock for cores, which is how
     /// the serving layer caps a tenant's repair fan-out without changing
     /// its answers.
+    ///
+    /// The result is stamped with the session's current generation
+    /// ([`RepairResult::generation`]), which [`Session::commit_repair`]
+    /// checks.
     pub fn repair_with_threads(
         &mut self,
         kind: RepairKind,
         threads: usize,
     ) -> Result<RepairResult> {
-        let snapshot = self.snapshot()?;
+        let cfds = self.engine.rules().cfds();
+        let snapshot = self.backing.snapshot()?;
         let mut config = self.engine.config().repair().clone();
         config.kind = kind;
         config.threads = threads.max(1);
@@ -355,12 +419,14 @@ impl Session {
         // Only the class engine consumes LHS indexes; the pass-loop
         // heuristic re-detects from scratch, so don't build or clone any
         // for it.
-        if kind == RepairKind::Heuristic {
-            return Ok(repairer.repair(self.engine.rules().cfds(), &snapshot));
-        }
-        self.ensure_indexes()?;
-        let indexes = self.indexes.as_ref().expect("just ensured").clone();
-        Ok(repairer.repair_with_indexes(self.engine.rules().cfds(), &snapshot, indexes))
+        let mut result = if kind == RepairKind::Heuristic {
+            repairer.repair(cfds, &snapshot)
+        } else {
+            let indexes = ensure_indexes(&mut self.indexes, cfds, &snapshot).to_vec();
+            repairer.repair_with_indexes(cfds, &snapshot, indexes)
+        };
+        result.generation = self.generation;
+        Ok(result)
     }
 
     /// Applies a mixed insert/delete batch to the served instance through
@@ -382,40 +448,29 @@ impl Session {
     /// A **rejected** batch (e.g. an op whose arity does not match the
     /// schema) leaves the session exactly as it was: the instance is
     /// untouched *and* every piece of prepared per-snapshot state — LHS
-    /// indexes, prepared SQL plans, column statistics, the cached
-    /// [`Session::detection_plan`] — remains valid and is **not**
-    /// invalidated. Validation happens before any mutation, and caches are
-    /// only cleared after the batch succeeds, so an error never costs the
-    /// session its prepared state (the root regression test pins this).
+    /// indexes, column statistics, the cached [`Session::detection_plan`],
+    /// the generation outstanding [`RepairResult`]s carry — remains valid
+    /// and is **not** invalidated. Validation happens before any mutation,
+    /// and caches are only cleared after the batch succeeds, so an error
+    /// never costs the session its prepared state (the root regression test
+    /// pins this).
     ///
     /// On a **disk-backed** session the batch additionally commits through
     /// the store's WAL before this returns — see the durability contract
-    /// on [`cfd_store::ColumnStore`].
+    /// on [`cfd_store::ColumnStore`] — and the report comes from a store
+    /// scan rather than incremental maintenance.
     pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<Violations> {
-        if self.store.is_some() {
-            // Validation happens inside the store before any mutation; on
-            // error nothing below runs and all caches stay valid.
-            self.store
-                .as_mut()
-                .expect("just matched")
-                .apply_batch(ops)?;
-            self.invalidate_after_batch();
-            // Stream state (previews) was derived from the superseded
-            // materialization.
-            self.stream = None;
+        if self.is_disk_backed() {
+            self.ingest(ops)?;
             return self.detect();
         }
-        self.ensure_stream()?;
-        let report = self
-            .stream
-            .as_mut()
-            .expect("just ensured")
-            .apply_batch(ops)?;
+        let stream = self.backing.stream(self.engine.rules().cfds())?;
+        let report = stream.apply_batch(ops)?;
         // The snapshot and everything bound to it are now stale — including
         // the column statistics and the detection plan derived from them:
         // the planner must never choose a strategy against counts of a
         // superseded instance.
-        self.invalidate_after_batch();
+        self.invalidate_after_commit();
         Ok(report)
     }
 
@@ -429,21 +484,22 @@ impl Session {
     /// Shares [`Session::apply_batch`]'s failure atomicity: a rejected
     /// batch mutates nothing and invalidates nothing.
     pub fn ingest(&mut self, ops: &[BatchOp]) -> Result<()> {
-        let Some(store) = self.store.as_mut() else {
+        let Backing::Disk { store, .. } = &mut self.backing else {
             return Err(Error::Config(
                 "ingest requires a disk-backed session (use apply_batch on in-memory sessions)"
                     .into(),
             ));
         };
+        // Validation happens inside the store before any mutation; on
+        // error nothing below runs and all caches stay valid.
         store.apply_batch(ops)?;
-        self.invalidate_after_batch();
-        self.stream = None;
+        self.invalidate_after_commit();
         Ok(())
     }
 
-    /// Applies a [`RepairResult`] (from [`Session::repair`] on **this**
-    /// session, unmodified) back to the served instance and returns the
-    /// report of the repaired instance.
+    /// Applies a [`RepairResult`] from [`Session::repair`] on **this**
+    /// session back to the served instance and returns the report of the
+    /// repaired instance.
     ///
     /// On a disk-backed session the modifications become one durably
     /// logged cell-edit batch ([`cfd_store::ColumnStore::set_cells`] —
@@ -452,46 +508,52 @@ impl Session {
     /// `result.repaired` as its new snapshot. Either way the session
     /// serves the repaired data afterwards.
     ///
-    /// The result must come from this session's current instance: row
-    /// indices are positions of the snapshot the repair ran over, so
-    /// applying a stale result (after an intervening batch) errors on
-    /// out-of-range rows or silently edits the wrong tuples.
+    /// The result's row indices are positions of the snapshot the repair
+    /// ran over, so it must come from the session's **current** instance: a
+    /// result computed before an intervening [`Session::apply_batch`],
+    /// [`Session::ingest`] or `commit_repair` is refused with
+    /// [`Error::StaleResult`] before anything is edited.
     pub fn commit_repair(&mut self, result: &RepairResult) -> Result<Violations> {
-        if let Some(store) = self.store.as_mut() {
-            let live = store.live_slots();
-            let mut edits = Vec::with_capacity(result.modifications.len());
-            for m in &result.modifications {
-                let slot = *live.get(m.row).ok_or_else(|| {
-                    Error::Config(format!(
-                        "repair result row {} is out of range for this instance ({} live rows); \
-                         was the result produced by an earlier snapshot?",
-                        m.row,
-                        live.len()
-                    ))
-                })?;
-                edits.push((slot, m.attr.index() as u32, m.new.clone()));
-            }
-            store.set_cells(&edits)?;
-            self.invalidate_after_batch();
-            self.stream = None;
-        } else {
-            // Invalidate first: the repaired relation *is* the new snapshot
-            // and must survive the cache clear.
-            self.invalidate_after_batch();
-            self.snapshot = Some(Arc::new(result.repaired.clone()));
-            self.stream = None;
+        if result.generation != self.generation {
+            return Err(Error::StaleResult {
+                result: result.generation,
+                session: self.generation,
+            });
         }
+        match &mut self.backing {
+            Backing::Disk { store, .. } => {
+                let live = store.live_slots();
+                let mut edits = Vec::with_capacity(result.modifications.len());
+                for m in &result.modifications {
+                    let slot = *live.get(m.row).ok_or_else(|| {
+                        Error::Config(format!(
+                            "repair result row {} is out of range for this instance \
+                             ({} live rows); was it produced by another session?",
+                            m.row,
+                            live.len()
+                        ))
+                    })?;
+                    edits.push((slot, m.attr.index() as u32, m.new.clone()));
+                }
+                store.set_cells(&edits)?;
+            }
+            memory => {
+                *memory = Backing::Fresh {
+                    rel: Arc::new(result.repaired.clone()),
+                    stream: None,
+                };
+            }
+        }
+        self.invalidate_after_commit();
         self.detect()
     }
 
-    /// Drops every cache bound to the superseded snapshot. Callers decide
-    /// what happens to the stream state (the in-memory batch path keeps it
-    /// — it *is* the instance there).
-    fn invalidate_after_batch(&mut self) {
-        self.snapshot = None;
+    /// Advances the generation and drops every cache bound to the
+    /// superseded snapshot.
+    fn invalidate_after_commit(&mut self) {
+        self.generation += 1;
+        self.backing.supersede();
         self.indexes = None;
-        self.prepared = None;
-        self.prepared_merged = None;
         self.stats = None;
         self.plan = None;
     }
@@ -500,23 +562,15 @@ impl Session {
     /// violations of `current ∪ batch` involving at least one batch tuple —
     /// without changing the session.
     pub fn preview_insertions(&mut self, batch: &[Tuple]) -> Result<Violations> {
-        self.ensure_stream()?;
-        Ok(self
-            .stream
-            .as_ref()
-            .expect("just ensured")
-            .detect_insertions(batch))
+        let stream = self.backing.stream(self.engine.rules().cfds())?;
+        Ok(stream.detect_insertions(batch))
     }
 
     /// Previews the currently-reported violations that deleting `batch`
     /// (bag semantics) would resolve, without changing the session.
     pub fn preview_deletions(&mut self, batch: &[Tuple]) -> Result<Violations> {
-        self.ensure_stream()?;
-        Ok(self
-            .stream
-            .as_ref()
-            .expect("just ensured")
-            .detect_deletions(batch))
+        let stream = self.backing.stream(self.engine.rules().cfds())?;
+        Ok(stream.detect_deletions(batch))
     }
 
     /// Explains one report finding: which CFDs and pattern tuples it
@@ -533,12 +587,12 @@ impl Session {
     /// (or were produced by other rules) explain to an empty list.
     ///
     /// Multi-tuple keys are interpreted in each same-arity CFD's own LHS
-    /// attribute order — the key space of every per-CFD detector. The
-    /// multi-CFD [`DetectorKind::SqlMerged`] path reports `QV` keys over the
-    /// *merged* `X`-attribute union instead (its long-documented exception),
-    /// and those union keys generally resolve to no per-CFD group here;
-    /// explain per-CFD findings (any other detector kind, or a single-CFD
-    /// merged engine) when key provenance matters.
+    /// attribute order — the key space of every [`DetectorKind`]. (The
+    /// paper's merged SQL pair,
+    /// [`Detector::detect_set_merged`](cfd_detect::Detector::detect_set_merged),
+    /// reports multi-CFD `QV` keys over the *merged* `X`-attribute union
+    /// instead; those union keys generally resolve to no per-CFD group
+    /// here.)
     ///
     /// Planned edits apply the cost model's selection rule to **this
     /// witness's cells in isolation**. The equivalence-class repair engine
@@ -551,8 +605,9 @@ impl Session {
     /// Results are ordered by `(CFD index, rows, pattern index)` and are
     /// deterministic.
     pub fn explain(&mut self, item: &ViolationItem) -> Result<Vec<Explanation>> {
-        let snapshot = self.snapshot()?;
-        self.ensure_indexes()?;
+        let engine = &self.engine;
+        let snapshot = self.backing.snapshot()?;
+        let indexes = ensure_indexes(&mut self.indexes, engine.rules().cfds(), &snapshot);
         // A value never interned cannot occur in any relation: no provenance.
         let ids: Option<Vec<ValueId>> = item.values().iter().map(ValueId::get).collect();
         let Some(ids) = ids else {
@@ -575,9 +630,7 @@ impl Session {
                 // group lookup narrows the candidates to a single group
                 // instead of scanning the instance (full scan only when no
                 // keyed CFD exists).
-                let indexes = self.indexes.as_ref().expect("just ensured");
-                let keyed = self
-                    .engine
+                let keyed = engine
                     .rules()
                     .iter()
                     .zip(indexes)
@@ -596,7 +649,7 @@ impl Session {
                     }
                     None => (0..snapshot.len()).filter(|&i| full_match(i)).collect(),
                 };
-                for (cfd_index, cfd) in self.engine.rules().iter().enumerate() {
+                for (cfd_index, cfd) in engine.rules().iter().enumerate() {
                     let xcols = snapshot.columns_for(cfd.lhs());
                     let ycols = snapshot.columns_for(cfd.rhs());
                     for &row in &rows {
@@ -609,18 +662,18 @@ impl Session {
                                     kind: ViolationKind::SingleTuple,
                                     rows: vec![row],
                                 };
-                                out.push(self.explanation(cfd_index, cfd, &snapshot, witness));
+                                out.push(explanation(engine, cfd_index, cfd, &snapshot, witness));
                             }
                         }
                     }
                 }
             }
             ViolationItem::MultiTupleKey(_) => {
-                for (cfd_index, cfd) in self.engine.rules().iter().enumerate() {
+                for (cfd_index, cfd) in engine.rules().iter().enumerate() {
                     if cfd.lhs().len() != ids.len() {
                         continue;
                     }
-                    let rows = self.group_rows(cfd_index, cfd, &snapshot, &ids);
+                    let rows = group_rows(indexes[cfd_index].as_ref(), cfd, &snapshot, &ids);
                     if rows.len() < 2 {
                         continue;
                     }
@@ -636,7 +689,7 @@ impl Session {
                                 kind: ViolationKind::MultiTuple,
                                 rows: rows.clone(),
                             };
-                            out.push(self.explanation(cfd_index, cfd, &snapshot, witness));
+                            out.push(explanation(engine, cfd_index, cfd, &snapshot, witness));
                         }
                     }
                 }
@@ -644,226 +697,95 @@ impl Session {
         }
         Ok(out)
     }
+}
 
-    /// The rows whose full-LHS projection under `cfd` equals `key`: an index
-    /// lookup for keyed CFDs, a column scan for don't-care ones (whose `QV`
-    /// keys the direct detector also reports over the full LHS).
-    fn group_rows(
-        &self,
-        cfd_index: usize,
-        cfd: &Cfd,
-        snapshot: &Relation,
-        key: &[ValueId],
-    ) -> Vec<usize> {
-        let indexes = self.indexes.as_ref().expect("ensured by caller");
-        if let Some(index) = &indexes[cfd_index] {
-            let mut rows = index.lookup_ids(key).to_vec();
-            rows.sort_unstable();
-            return rows;
-        }
-        let xcols = snapshot.columns_for(cfd.lhs());
-        (0..snapshot.len())
-            .filter(|&i| xcols.iter().zip(key).all(|(col, id)| col[i] == *id))
-            .collect()
+/// The rows whose full-LHS projection under `cfd` equals `key`: an index
+/// lookup for keyed CFDs, a column scan for don't-care ones (whose `QV`
+/// keys the direct detector also reports over the full LHS).
+fn group_rows(
+    index: Option<&Index>,
+    cfd: &Cfd,
+    snapshot: &Relation,
+    key: &[ValueId],
+) -> Vec<usize> {
+    if let Some(index) = index {
+        let mut rows = index.lookup_ids(key).to_vec();
+        rows.sort_unstable();
+        return rows;
     }
+    let xcols = snapshot.columns_for(cfd.lhs());
+    (0..snapshot.len())
+        .filter(|&i| xcols.iter().zip(key).all(|(col, id)| col[i] == *id))
+        .collect()
+}
 
-    /// Packages one witness into an [`Explanation`] with its planned edits.
-    fn explanation(
-        &self,
-        cfd_index: usize,
-        cfd: &Cfd,
-        snapshot: &Relation,
-        witness: ViolationWitness,
-    ) -> Explanation {
-        let cells = cfd.witness_cells(&witness);
-        let model = &self.engine.config().repair().cost_model;
-        let mut planned = Vec::new();
-        // Pin obligations: one edit per pinned RHS attribute (all pins of
-        // one attribute share the pattern constant), priced over the
-        // disagreeing cells.
-        let mut pinned_attrs: Vec<(AttrId, ValueId)> = Vec::new();
-        for &(_, attr, target) in &cells.pins {
-            if !pinned_attrs.contains(&(attr, target)) {
-                pinned_attrs.push((attr, target));
-            }
+/// Packages one witness into an [`Explanation`] with its planned edits.
+fn explanation(
+    engine: &Engine,
+    cfd_index: usize,
+    cfd: &Cfd,
+    snapshot: &Relation,
+    witness: ViolationWitness,
+) -> Explanation {
+    let cells = cfd.witness_cells(&witness);
+    let model = &engine.config().repair().cost_model;
+    let mut planned = Vec::new();
+    // Pin obligations: one edit per pinned RHS attribute (all pins of
+    // one attribute share the pattern constant), priced over the
+    // disagreeing cells.
+    let mut pinned_attrs: Vec<(AttrId, ValueId)> = Vec::new();
+    for &(_, attr, target) in &cells.pins {
+        if !pinned_attrs.contains(&(attr, target)) {
+            pinned_attrs.push((attr, target));
         }
-        for (attr, target) in pinned_attrs {
-            let rows: Vec<usize> = cells
-                .pins
-                .iter()
-                .filter(|&&(_, a, t)| a == attr && t == target)
-                .map(|&(row, _, _)| row)
-                .collect();
-            let target_value = target.resolve();
-            let cost: f64 = rows
-                .iter()
-                .filter(|&&row| snapshot.column(attr)[row] != target)
-                .map(|&row| {
-                    model.weight(row)
-                        * model
-                            .distance
-                            .distance(snapshot.column(attr)[row].resolve(), target_value)
-                })
-                .sum();
+    }
+    for (attr, target) in pinned_attrs {
+        let rows: Vec<usize> = cells
+            .pins
+            .iter()
+            .filter(|&&(_, a, t)| a == attr && t == target)
+            .map(|&(row, _, _)| row)
+            .collect();
+        let target_value = target.resolve();
+        let cost: f64 = rows
+            .iter()
+            .filter(|&&row| snapshot.column(attr)[row] != target)
+            .map(|&row| {
+                model.weight(row)
+                    * model
+                        .distance
+                        .distance(snapshot.column(attr)[row].resolve(), target_value)
+            })
+            .sum();
+        planned.push(PlannedEdit {
+            attr,
+            rows,
+            target: target_value.clone(),
+            cost,
+        });
+    }
+    // Merge obligations: the class target the cost model would choose.
+    for (attr, rows) in &cells.merges {
+        let class: Vec<(usize, AttrId)> = rows.iter().map(|&r| (r, *attr)).collect();
+        if let Some((target, cost)) = model.class_target(snapshot, &class) {
             planned.push(PlannedEdit {
-                attr,
-                rows,
-                target: target_value.clone(),
+                attr: *attr,
+                rows: rows.clone(),
+                target: target.resolve().clone(),
                 cost,
             });
         }
-        // Merge obligations: the class target the cost model would choose.
-        for (attr, rows) in &cells.merges {
-            let class: Vec<(usize, AttrId)> = rows.iter().map(|&r| (r, *attr)).collect();
-            if let Some((target, cost)) = model.class_target(snapshot, &class) {
-                planned.push(PlannedEdit {
-                    attr: *attr,
-                    rows: rows.clone(),
-                    target: target.resolve().clone(),
-                    cost,
-                });
-            }
-        }
-        Explanation {
-            cfd_index,
-            cfd_name: cfd.name().map(str::to_owned),
-            pattern_index: witness.pattern_index,
-            pattern: cfd.tableau().rows()[witness.pattern_index].clone(),
-            kind: witness.kind,
-            rows: witness.rows,
-            cells,
-            planned,
-        }
     }
-
-    /// The `Direct` path: group-driven detection over the shared indexes.
-    fn detect_direct(&mut self) -> Result<Violations> {
-        let snapshot = self.snapshot()?;
-        self.ensure_indexes()?;
-        let indexes = self.indexes.as_ref().expect("just ensured");
-        let mut out = Violations::new();
-        for (cfd, index) in self.engine.rules().iter().zip(indexes) {
-            match index {
-                Some(index) => out.merge(detect_with_index(cfd, &snapshot, index)),
-                None => out.merge(DirectDetector::new().detect(cfd, &snapshot)),
-            }
-        }
-        Ok(out)
+    Explanation {
+        cfd_index,
+        cfd_name: cfd.name().map(str::to_owned),
+        pattern_index: witness.pattern_index,
+        pattern: cfd.tableau().rows()[witness.pattern_index].clone(),
+        kind: witness.kind,
+        rows: witness.rows,
+        cells,
+        planned,
     }
-
-    fn ensure_indexes(&mut self) -> Result<()> {
-        if self.indexes.is_some() {
-            return Ok(());
-        }
-        let snapshot = self.snapshot()?;
-        self.indexes = Some(
-            self.engine
-                .plans()
-                .iter()
-                .zip(self.engine.rules().iter())
-                .map(|(plan, cfd)| plan.keyed.then(|| snapshot.build_index(cfd.lhs())))
-                .collect(),
-        );
-        Ok(())
-    }
-
-    fn ensure_prepared(&mut self) -> Result<()> {
-        if self.prepared.is_some() {
-            return Ok(());
-        }
-        let snapshot = self.snapshot()?;
-        let strategy = self.engine.config().strategy();
-        let mut prepared = Vec::with_capacity(self.engine.plans().len());
-        for plan in self.engine.plans() {
-            prepared.push(prepare_pair(
-                &snapshot,
-                TABLEAU_NAME,
-                &plan.tableau,
-                &plan.qc,
-                &plan.qv,
-                strategy,
-            )?);
-        }
-        self.prepared = Some(prepared);
-        Ok(())
-    }
-
-    fn ensure_prepared_merged(&mut self) -> Result<()> {
-        if self.prepared_merged.is_some() {
-            return Ok(());
-        }
-        let plan = self.engine.merged_plan().ok_or_else(|| {
-            Error::Sql(cfd_sql::SqlError::Unsupported(
-                "engine compiled without a merged plan".into(),
-            ))
-        })?;
-        let (joined, qc, qv) = (Arc::clone(&plan.joined), plan.qc.clone(), plan.qv.clone());
-        let snapshot = self.snapshot()?;
-        let strategy = self.engine.config().strategy();
-        self.prepared_merged = Some(prepare_pair(
-            &snapshot,
-            JOINED_NAME,
-            &joined,
-            &qc,
-            &qv,
-            strategy,
-        )?);
-        Ok(())
-    }
-
-    fn ensure_stream(&mut self) -> Result<()> {
-        if self.stream.is_some() {
-            return Ok(());
-        }
-        let base = self.snapshot()?;
-        self.stream = Some(cfd_detect::IncrementalDetector::new(
-            (*base).clone(),
-            self.engine.rules().cfds().to_vec(),
-        ));
-        Ok(())
-    }
-}
-
-/// Joins one scoped detection worker, converting a worker panic into
-/// [`Error::WorkerPanicked`] instead of re-panicking on the serving thread.
-/// The session's prepared state is only ever *read* by workers, so after a
-/// contained panic the session stays fully usable — the next `detect()`
-/// re-runs the same prepared plans.
-fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, Result<T>>) -> Result<T> {
-    handle.join().map_err(|_| Error::WorkerPanicked)?
-}
-
-/// Binds one compiled `QC`/`QV` pair to a data snapshot: an ephemeral
-/// catalog + executor compile the plans once; the returned
-/// [`PreparedQuery`]s own `Arc`s of both relations and outlive the catalog.
-fn prepare_pair(
-    data: &Arc<Relation>,
-    tableau_name: &str,
-    tableau: &Arc<Relation>,
-    qc: &SelectQuery,
-    qv: &SelectQuery,
-    strategy: cfd_sql::Strategy,
-) -> Result<(PreparedQuery, PreparedQuery)> {
-    let mut catalog = Catalog::new();
-    catalog.register_arc(DATA_NAME, Arc::clone(data));
-    catalog.register_arc(tableau_name, Arc::clone(tableau));
-    let executor = Executor::new(&catalog).with_strategy(strategy);
-    Ok((executor.prepare(qc)?, executor.prepare(qv)?))
-}
-
-/// Runs one prepared `QC`/`QV` pair into a [`Violations`] report (the same
-/// folding as `cfd_detect::Detector::detect_shared`).
-fn run_pair(pair: &(PreparedQuery, PreparedQuery)) -> Result<Violations> {
-    let mut out = Violations::new();
-    let qc: ResultSet = pair.0.run()?;
-    for row in qc.rows() {
-        out.add_constant_violation(row.clone());
-    }
-    let qv: ResultSet = pair.1.run()?;
-    for row in qv.rows() {
-        out.add_multi_tuple_key(row.clone());
-    }
-    Ok(out)
 }
 
 /// The provenance of one report finding (see [`Session::explain`]): the
@@ -915,28 +837,49 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
-    use cfd_datagen::cust::{cust_instance, phi2};
+    use cfd_datagen::cust::{cust_instance, fig2_cfd_set};
 
     #[test]
-    fn worker_panics_surface_as_errors_and_leave_the_session_usable() {
-        // The exact join the SqlParallel path performs, against a worker
-        // that panics: the panic must come back as Error::WorkerPanicked,
-        // not abort the joining (serving) thread.
-        let joined: Result<Violations> = std::thread::scope(|scope| {
-            let ok = scope.spawn(|| Ok(Violations::new()));
-            let bad = scope.spawn(|| -> Result<Violations> { panic!("worker bug") });
-            let first = join_worker(ok);
-            assert!(first.is_ok());
-            join_worker(bad)
-        });
-        assert_eq!(joined.unwrap_err(), Error::WorkerPanicked);
-
-        // A session on the same thread keeps serving afterwards: prepared
-        // state is read-only to workers, so nothing was corrupted.
-        let engine = Engine::builder().rule(phi2()).build().unwrap();
-        let mut session = engine.session(Arc::new(cust_instance())).unwrap();
-        let report = session.detect().unwrap();
-        assert_eq!(report.constant_violations().len(), 2);
+    fn the_snapshot_follows_the_stream_through_batches_and_repairs() {
+        // Fresh -> (preview) Fresh+stream -> (batch) Streamed -> (snapshot)
+        // Fresh+stream -> (commit_repair) Fresh: len/schema/snapshot agree
+        // in every state.
+        let engine = Engine::builder().rule_set(fig2_cfd_set()).build().unwrap();
+        let base = cust_instance();
+        let extra = base.to_tuples()[0].clone();
+        let mut session = engine.session(Arc::new(base.clone())).unwrap();
+        assert!(matches!(
+            session.backing,
+            Backing::Fresh { stream: None, .. }
+        ));
+        session
+            .preview_insertions(std::slice::from_ref(&extra))
+            .unwrap();
+        assert!(matches!(
+            session.backing,
+            Backing::Fresh {
+                stream: Some(_),
+                ..
+            }
+        ));
+        session.apply_batch(&[BatchOp::Insert(extra)]).unwrap();
+        assert!(matches!(session.backing, Backing::Streamed(_)));
+        assert_eq!(session.len(), base.len() + 1);
+        assert_eq!(session.schema(), base.schema());
+        assert_eq!(session.snapshot().unwrap().len(), base.len() + 1);
+        assert!(matches!(
+            session.backing,
+            Backing::Fresh {
+                stream: Some(_),
+                ..
+            }
+        ));
+        let repair = session.repair(RepairKind::EquivClass).unwrap();
+        assert!(session.commit_repair(&repair).unwrap().is_clean());
+        assert!(matches!(
+            session.backing,
+            Backing::Fresh { stream: None, .. }
+        ));
+        assert_eq!(session.len(), base.len() + 1);
     }
 }

@@ -76,7 +76,6 @@ const _CONFIG: () = {
     let _: fn() -> EngineConfigBuilder = EngineConfig::builder;
     let _: fn(EngineConfigBuilder, DetectorKind) -> EngineConfigBuilder =
         EngineConfigBuilder::detector;
-    let _: fn(EngineConfigBuilder, Strategy) -> EngineConfigBuilder = EngineConfigBuilder::strategy;
     let _: fn(EngineConfigBuilder, RepairKind) -> EngineConfigBuilder =
         EngineConfigBuilder::repair_kind;
     let _: fn(EngineConfigBuilder, usize) -> EngineConfigBuilder = EngineConfigBuilder::max_passes;
@@ -89,8 +88,24 @@ const _CONFIG: () = {
     let _: fn(EngineConfigBuilder) -> Result<EngineConfig, Error> = EngineConfigBuilder::build;
 
     let _: fn(&EngineConfig) -> DetectorKind = EngineConfig::detector;
-    let _: fn(&EngineConfig) -> Strategy = EngineConfig::strategy;
     let _: fn(&EngineConfig) -> &RepairConfig = EngineConfig::repair;
+};
+
+/// The serving selector is three scan layouts over one kernel; the paper's
+/// SQL reproduction is reached through `Detector`, with its own strategy
+/// knob (Fig. 9(a)/(b)).
+const _DETECTION: () = {
+    let _: fn(usize) -> [DetectorKind; 3] = DetectorKind::all;
+    let _: fn(&DetectorKind, &[Cfd], &Relation) -> Violations = DetectorKind::detect_set;
+    let _: fn(Detector, Strategy) -> Detector = Detector::with_strategy;
+    let _: fn(&Detector, &[Cfd], Arc<Relation>) -> Result<Violations, cfd_sql::SqlError> =
+        Detector::detect_set;
+    let _: fn(&Detector, &[Cfd], Arc<Relation>) -> Result<Violations, cfd_sql::SqlError> =
+        Detector::detect_set_merged;
+    let _: fn(&Detector, &[Cfd], Arc<Relation>, usize) -> Result<Violations, cfd_sql::SqlError> =
+        Detector::detect_set_parallel;
+    // A repair result carries the generation `commit_repair` checks.
+    let _: fn(&RepairResult) -> u64 = |result| result.generation;
 };
 
 /// Report iteration fuses with explain through `ViolationItem`.

@@ -1,15 +1,22 @@
 //! Differential test harness across all detector paths.
 //!
-//! Five independent implementations compute the Section 4 violation sets:
+//! Independent implementations compute the Section 4 violation sets:
 //!
-//! 1. [`DirectDetector`] — the single-threaded hash-based oracle;
-//! 2. the SQL `QC`/`QV` query pair ([`Detector::detect`]);
+//! 1. [`DirectDetector`] — the single-threaded scan over the one kernel;
+//! 2. the SQL `QC`/`QV` query pair ([`Detector::detect`]), per CFD and
+//!    spread over threads ([`Detector::detect_set_parallel`]);
 //! 3. the merged-tableaux SQL path ([`Detector::detect_set_merged`], the
 //!    Section 4.2 `CASE`-masked single query pair);
 //! 4. [`ShardedDetector`] — hash-partitioned parallel detection;
 //! 5. [`DetectorKind::Auto`] — the cost-based adaptive planner, whose every
 //!    chosen strategy (direct, sharded, fused-merged, index-driven) must be
-//!    invisible in the report.
+//!    invisible in the report;
+//! 6. the serving [`Session`](cfd::Session) under every [`DetectorKind`],
+//!    over an in-memory relation **and** over a disk-backed store (the same
+//!    kernel fed page chunks through a small buffer pool).
+//!
+//! The SQL paths are the paper's reproduction, reached through [`Detector`]
+//! directly — they are a differential reference, not a serving engine.
 //!
 //! On dozens of seeded randomized workloads (deterministic xoshiro256++
 //! [`StdRng`], varying size, noise, constants ratio, tableau size and CFD
@@ -30,12 +37,12 @@
 //! The `#[ignore]`d 100k-row case is the CI-sized version of the same
 //! harness (`cargo test --release -- --include-ignored`).
 
-use cfd::{Engine, EngineConfig, Error};
+use cfd::{Engine, EngineConfig, Error, StorageConfig};
 use cfd_core::{Cfd, CfdSet, PatternTableau, PatternTuple, PatternValue};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::rng::StdRng;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::{Detector, DetectorKind, DirectDetector, ShardedDetector, Violations};
+use cfd_detect::{BatchOp, Detector, DetectorKind, DirectDetector, ShardedDetector, Violations};
 use cfd_relation::{Relation, Schema, Tuple, Value};
 use cfd_repair::{RepairConfig, RepairKind, RepairResult, Repairer};
 use std::sync::Arc;
@@ -90,12 +97,23 @@ fn assert_paths_agree_on_one_cfd(cfd: &Cfd, rel: &Relation, label: &str) -> Viol
     direct
 }
 
+/// A fresh store directory per call (the harness serves hundreds of small
+/// workloads from disk).
+fn scratch_dir() -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("cfd-differential-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// Prepared-vs-oneshot differential: the same workload served through a
 /// reused `Engine`/`Session` must report byte-identically per configured
-/// `DetectorKind`, and session repairs must be byte-identical to the
-/// one-shot engines. Inconsistent rule sets (which the randomized sweep
-/// does generate) must be *rejected at build time* — that rejection path is
-/// asserted instead.
+/// `DetectorKind` — over the in-memory relation and over a disk-backed
+/// store holding the same rows — and session repairs must be
+/// byte-identical to the one-shot engines. Inconsistent rule sets (which
+/// the randomized sweep does generate) must be *rejected at build time* —
+/// that rejection path is asserted instead.
 fn assert_prepared_session_agrees(cfds: &[Cfd], rel: &Relation, label: &str) {
     let consistent = CfdSet::from_cfds(cfds.to_vec())
         .expect("differential workloads share a schema")
@@ -114,22 +132,26 @@ fn assert_prepared_session_agrees(cfds: &[Cfd], rel: &Relation, label: &str) {
         return;
     }
     let shared = Arc::new(rel.clone());
-    for kind in [
-        DetectorKind::Direct,
-        DetectorKind::Sql,
-        DetectorKind::SqlMerged,
-        DetectorKind::SqlParallel { threads: 3 },
-        DetectorKind::Sharded { shards: 4 },
-        DetectorKind::Auto,
-    ] {
+    let dir = scratch_dir();
+    let rows: Vec<BatchOp> = rel.to_tuples().into_iter().map(BatchOp::Insert).collect();
+    for kind in DetectorKind::all(4) {
         let engine = Engine::builder()
             .rules(cfds.iter().cloned())
-            .config(EngineConfig::builder().detector(kind).build().unwrap())
+            .config(
+                EngineConfig::builder()
+                    .detector(kind)
+                    .storage(StorageConfig {
+                        pool_pages: 2,
+                        ..StorageConfig::default()
+                    })
+                    .build()
+                    .unwrap(),
+            )
             .build()
             .unwrap();
         let mut session = engine.session(Arc::clone(&shared)).unwrap();
         let prepared = session.detect().unwrap();
-        let oneshot = kind.detect_set(cfds, Arc::clone(&shared)).unwrap();
+        let oneshot = kind.detect_set(cfds, rel);
         assert_identical(
             &prepared,
             &oneshot,
@@ -142,7 +164,19 @@ fn assert_prepared_session_agrees(cfds: &[Cfd], rel: &Relation, label: &str) {
             &oneshot,
             &format!("{label}: reused session ({kind:?})"),
         );
+        // The first kind populates the store, the others reopen it.
+        let mut on_disk = engine.session_on_disk(&dir).unwrap();
+        if on_disk.is_empty() {
+            on_disk.ingest(&rows).unwrap();
+        }
+        let disk = on_disk.detect().unwrap();
+        assert_identical(
+            &disk,
+            &oneshot,
+            &format!("{label}: disk session vs one-shot ({kind:?})"),
+        );
     }
+    let _ = std::fs::remove_dir_all(&dir);
     // Both repair engines through one reused session, byte-identical to the
     // one-shot facade path on the same snapshot.
     let engine = Engine::builder()
@@ -221,8 +255,10 @@ fn assert_parallel_repair_identical(cfds: &[Cfd], rel: &Relation, label: &str) -
     sequential
 }
 
-/// Set-level agreement: the per-CFD paths byte-identically, the merged path
-/// on its documented guarantee.
+/// Set-level agreement: the per-CFD paths (SQL sequential and parallel
+/// included) byte-identically, the merged SQL path on its documented
+/// guarantee — `QV` keys over the merged `X` union, so only its `QC`
+/// component and its emptiness are comparable on multi-CFD sets.
 fn assert_paths_agree_on_set(cfds: &[Cfd], rel: &Relation, label: &str) {
     let direct = DirectDetector::new().detect_set(cfds, rel);
     let shared = Arc::new(rel.clone());
@@ -230,6 +266,14 @@ fn assert_paths_agree_on_set(cfds: &[Cfd], rel: &Relation, label: &str) {
         .detect_set(cfds, Arc::clone(&shared))
         .unwrap();
     assert_identical(&sql, &direct, &format!("{label}: SQL set"));
+    let sql_parallel = Detector::new()
+        .detect_set_parallel(cfds, Arc::clone(&shared), 3)
+        .unwrap();
+    assert_identical(
+        &sql_parallel,
+        &direct,
+        &format!("{label}: parallel SQL set"),
+    );
     let sharded = ShardedDetector::new(4).detect_set(cfds, rel);
     assert_identical(&sharded, &direct, &format!("{label}: sharded set"));
     let merged = Detector::new()
@@ -246,14 +290,8 @@ fn assert_paths_agree_on_set(cfds: &[Cfd], rel: &Relation, label: &str) {
         "{label}: merged set emptiness"
     );
     // The DetectorKind dispatch goes through the same engines.
-    for kind in [
-        DetectorKind::Direct,
-        DetectorKind::Sql,
-        DetectorKind::SqlParallel { threads: 3 },
-        DetectorKind::Sharded { shards: 4 },
-        DetectorKind::Auto,
-    ] {
-        let got = kind.detect_set(cfds, Arc::clone(&shared)).unwrap();
+    for kind in DetectorKind::all(4) {
+        let got = kind.detect_set(cfds, rel);
         assert_identical(&got, &direct, &format!("{label}: DetectorKind {kind:?}"));
     }
     assert_prepared_session_agrees(cfds, rel, label);
@@ -547,9 +585,7 @@ fn tax_workload_100k_agrees_across_all_paths() {
     // session (which plans with reusable indexes — potentially a different
     // strategy mix, same report).
     let shared = Arc::new(data.clone());
-    let auto = DetectorKind::Auto
-        .detect_set(&cfds, Arc::clone(&shared))
-        .unwrap();
+    let auto = DetectorKind::Auto.detect_set(&cfds, &data);
     assert_identical(&auto, &direct, "Auto one-shot vs direct at 100k rows");
     let engine = Engine::builder()
         .rules(cfds.iter().cloned())

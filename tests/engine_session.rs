@@ -32,6 +32,8 @@ fn noisy_tax(rows: usize, seed: u64) -> Relation {
 fn session_detect_matches_one_shot_for_every_detector_kind() {
     let cfds = tax_cfds(21);
     let data = Arc::new(noisy_tax(600, 7));
+    let dir = std::env::temp_dir().join(format!("cfd-engine-session-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     for kind in DetectorKind::all(3) {
         let engine = Engine::builder()
             .rules(cfds.iter().cloned())
@@ -40,7 +42,7 @@ fn session_detect_matches_one_shot_for_every_detector_kind() {
             .unwrap();
         let mut session = engine.session(Arc::clone(&data)).unwrap();
         let prepared = session.detect().unwrap();
-        let oneshot = kind.detect_set(&cfds, Arc::clone(&data)).unwrap();
+        let oneshot = kind.detect_set(&cfds, &data);
         assert_eq!(prepared, oneshot, "kind {kind:?}");
         assert_eq!(
             prepared.canonical_bytes(),
@@ -49,7 +51,36 @@ fn session_detect_matches_one_shot_for_every_detector_kind() {
         );
         // A second detect re-uses the prepared state and must not drift.
         assert_eq!(session.detect().unwrap(), oneshot, "kind {kind:?} again");
+        // The same rows behind a disk-backed session (populated by the
+        // first kind, reopened by the others).
+        let mut on_disk = engine.session_on_disk(&dir).unwrap();
+        if on_disk.is_empty() {
+            let rows: Vec<BatchOp> = data.to_tuples().into_iter().map(BatchOp::Insert).collect();
+            on_disk.ingest(&rows).unwrap();
+        }
+        assert_eq!(
+            on_disk.detect().unwrap().canonical_bytes(),
+            oneshot.canonical_bytes(),
+            "kind {kind:?} on disk"
+        );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The paper's SQL query pairs — reached through `Detector`, not through
+    // a session — against the same oracle: per-CFD and parallel byte for
+    // byte, merged on its documented guarantee (`QV` keys over the merged
+    // `X` union: identical `QC` component, agreeing emptiness).
+    let oracle = DetectorKind::Direct.detect_set(&cfds, &data);
+    let sql = Detector::new();
+    let per_cfd = sql.detect_set(&cfds, Arc::clone(&data)).unwrap();
+    assert_eq!(per_cfd.canonical_bytes(), oracle.canonical_bytes());
+    let parallel = sql
+        .detect_set_parallel(&cfds, Arc::clone(&data), 3)
+        .unwrap();
+    assert_eq!(parallel.canonical_bytes(), oracle.canonical_bytes());
+    let merged = sql.detect_set_merged(&cfds, Arc::clone(&data)).unwrap();
+    assert_eq!(merged.constant_violations(), oracle.constant_violations());
+    assert_eq!(merged.is_clean(), oracle.is_clean());
 }
 
 #[test]

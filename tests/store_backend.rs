@@ -1,15 +1,17 @@
 //! Integration tests of the disk-backed session path
 //! ([`Engine::session_on_disk`]): backend transparency (disk vs. memory,
-//! byte-identical reports across every detector kind), failure-atomic
-//! batch rejection, bounded page memory on workloads far larger than the
-//! buffer pool, and the kill-and-recover harness (a child process
-//! `abort()`ed mid-stream must recover to a byte-identical report).
+//! byte-identical reports across every detector kind and across chunk
+//! seams), failure-atomic batch rejection, stale-repair refusal, bounded
+//! page memory on workloads far larger than the buffer pool, and the
+//! kill-and-recover harness (a child process `abort()`ed mid-stream must
+//! recover to a byte-identical report).
 
 use cfd::prelude::*;
 use cfd::{RepairKind, StorageConfig};
 use cfd_datagen::cust::{cust_instance, fig2_cfd_set};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
+use cfd_detect::DirectDetector;
 use cfd_relation::Relation;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -101,9 +103,9 @@ fn a_rejected_batch_on_a_disk_session_commits_nothing() {
 }
 
 /// Differential harness over the disk path: for every detector kind, a
-/// disk-backed session must report byte-identically to an in-memory
-/// session over the same instance — whether the kind scans the store
-/// directly (Direct/Sharded/Auto) or materializes first (the SQL kinds).
+/// disk-backed session (the scan kernel fed page chunks through an 8-page
+/// pool) must report byte-identically to an in-memory session over the
+/// same instance, and to the paper's SQL query pairs.
 #[test]
 fn disk_and_memory_sessions_agree_across_every_detector_kind() {
     let dir = scratch_dir("differential");
@@ -115,17 +117,12 @@ fn disk_and_memory_sessions_agree_across_every_detector_kind() {
     .generate()
     .relation;
     let cfds = tax_cfds(7);
-    let kinds = [
-        DetectorKind::Direct,
-        DetectorKind::Sql,
-        DetectorKind::SqlParallel { threads: 2 },
-        DetectorKind::SqlMerged,
-        DetectorKind::Sharded { shards: 4 },
-        DetectorKind::Auto,
-    ];
+    let sql = Detector::new()
+        .detect_set(&cfds, Arc::new(data.clone()))
+        .unwrap();
     let mut populated = false;
     let mut dirty = false;
-    for kind in kinds {
+    for kind in DetectorKind::all(4) {
         let engine = Engine::builder()
             .rules(cfds.iter().cloned())
             .config(
@@ -158,10 +155,167 @@ fn disk_and_memory_sessions_agree_across_every_detector_kind() {
             disk.canonical_bytes(),
             "disk vs memory report with {kind:?}"
         );
+        assert_eq!(
+            sql.canonical_bytes(),
+            disk.canonical_bytes(),
+            "disk report with {kind:?} vs the SQL query pairs"
+        );
         dirty |= !disk.is_clean();
     }
     assert!(dirty, "the workload must contain real violations");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The chunked store scan against an in-memory mirror when the edits sit
+/// on the chunk seams: deletes and `set_cells` edits straddling a
+/// `PAGE_CELLS` boundary, one chunk entirely dead, a ragged last chunk, and
+/// a 2-page pool far smaller than one CFD's column set × chunk count.
+#[test]
+fn dead_slots_and_cell_edits_across_chunk_boundaries_match_a_memory_mirror() {
+    use cfd::store::{ColumnStore, StoreOptions, PAGE_CELLS};
+    let dir = scratch_dir("seams");
+    let schema = Schema::builder("seams")
+        .text("ID")
+        .text("A")
+        .text("B")
+        .text("C")
+        .build();
+    // A → B holds except on every 97th row; (A = a7) pins C = c7.
+    let row = |i: usize| {
+        let b = if i.is_multiple_of(97) { i % 5 } else { i % 40 };
+        Tuple::new(vec![
+            Value::from(format!("id{i}")),
+            Value::from(format!("a{}", i % 40)),
+            Value::from(format!("b{b}")),
+            Value::from(format!("c{}", i % 9)),
+        ])
+    };
+    let cfds = vec![
+        Cfd::fd(schema.clone(), ["A"], ["B"]).unwrap(),
+        Cfd::builder(schema.clone(), ["A"], ["C"])
+            .pattern(["a7"], ["c7"])
+            .pattern(["_"], ["_"])
+            .build()
+            .unwrap(),
+    ];
+    let slots = 3 * PAGE_CELLS + 500;
+    let mut mirror: Vec<Option<Tuple>> = (0..slots).map(|i| Some(row(i))).collect();
+    let opts = StoreOptions {
+        pool_pages: 2,
+        ..StoreOptions::default()
+    };
+    let mut store = ColumnStore::open_or_create(&dir, &schema, opts).unwrap();
+    let inserts: Vec<BatchOp> = mirror
+        .iter()
+        .flatten()
+        .cloned()
+        .map(BatchOp::Insert)
+        .collect();
+    store.apply_batch(&inserts).unwrap();
+
+    // Deletes: a run across the first seam (sparing slots 1023 and 1024),
+    // and all of chunk 2.
+    let seam = PAGE_CELLS;
+    let dead: Vec<usize> = (seam - 6..seam - 1)
+        .chain(seam + 1..seam + 7)
+        .chain(2 * PAGE_CELLS..3 * PAGE_CELLS)
+        .collect();
+    let deletes: Vec<BatchOp> = dead
+        .iter()
+        .map(|&i| BatchOp::Delete(mirror[i].take().unwrap()))
+        .collect();
+    store.apply_batch(&deletes).unwrap();
+    // Cell edits on both sides of the seam and of the dead chunk: each
+    // moves its row into another A-group with a disagreeing B.
+    let mut edits = Vec::new();
+    for (i, a) in [(seam - 1, "a7"), (seam, "a8"), (3 * PAGE_CELLS, "a7")] {
+        let mut cells = mirror[i].take().unwrap().to_values();
+        cells[1] = Value::from(a);
+        mirror[i] = Some(Tuple::new(cells));
+        edits.push((i as u64, 1u32, Value::from(a)));
+    }
+    store.set_cells(&edits).unwrap();
+
+    let mut memory = Relation::new(schema);
+    for tuple in mirror.iter().flatten() {
+        memory.push(tuple.clone()).unwrap();
+    }
+    let want = DirectDetector::new().detect_set(&cfds, &memory);
+    assert!(!want.constant_violations().is_empty() && !want.multi_tuple_keys().is_empty());
+    let got = store.detect(&cfds).unwrap();
+    assert_eq!(got.canonical_bytes(), want.canonical_bytes());
+    assert_eq!(store.materialize().unwrap(), memory);
+    let stats = store.pool_stats();
+    assert!(
+        stats.evictions > 0,
+        "4 chunks × 2 columns cannot fit 2 pages"
+    );
+    assert!(stats.peak_resident <= stats.capacity);
+    drop(store);
+
+    // The same store through a reopened disk session.
+    let engine = Engine::builder()
+        .rules(cfds.iter().cloned())
+        .config(
+            EngineConfig::builder()
+                .storage(StorageConfig {
+                    pool_pages: 2,
+                    ..StorageConfig::default()
+                })
+                .build()
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let mut session = engine.session_on_disk(&dir).unwrap();
+    let served = session.detect().unwrap();
+    assert_eq!(served.canonical_bytes(), want.canonical_bytes());
+    let stats = session.pool_stats().unwrap();
+    assert!(stats.peak_resident <= stats.capacity);
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `RepairResult` that outlived the instance it was computed against is
+/// refused with a typed error before anything is edited — on both
+/// backings.
+#[test]
+fn a_stale_repair_result_is_refused_on_both_backings() {
+    let engine = Engine::builder().rule_set(fig2_cfd_set()).build().unwrap();
+    for disk in [false, true] {
+        let dir = scratch_dir("stale");
+        let mut session = if disk {
+            let mut session = engine.session_on_disk(&dir).unwrap();
+            session.apply_batch(&insert_ops(&cust_instance())).unwrap();
+            session
+        } else {
+            engine.session(Arc::new(cust_instance())).unwrap()
+        };
+        let stale = session.repair(RepairKind::EquivClass).unwrap();
+        assert!(!stale.modifications.is_empty());
+        let extra = cust_instance().to_tuples()[0].clone();
+        let report = session.apply_batch(&[BatchOp::Insert(extra)]).unwrap();
+        assert!(!report.is_clean());
+        let committed = session.committed_batches();
+
+        let err = session.commit_repair(&stale).unwrap_err();
+        assert!(
+            matches!(err, Error::StaleResult { result, session } if result < session),
+            "disk={disk}: got {err:?}"
+        );
+        assert_eq!(session.committed_batches(), committed, "disk={disk}");
+        assert_eq!(
+            session.detect().unwrap().canonical_bytes(),
+            report.canonical_bytes(),
+            "disk={disk}: a refused commit must not touch the instance"
+        );
+
+        // Repairing again against the current instance commits fine.
+        let fresh = session.repair(RepairKind::EquivClass).unwrap();
+        assert!(session.commit_repair(&fresh).unwrap().is_clean());
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Acceptance: detect + repair on a workload more than 10× the buffer-pool
