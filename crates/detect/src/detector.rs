@@ -10,7 +10,7 @@
 
 use crate::direct::DirectDetector;
 use crate::merge::MergedTableaux;
-use crate::merged;
+use crate::merged::{self, TableauSource};
 use crate::report::Violations;
 use crate::sharded::ShardedDetector;
 use crate::single;
@@ -197,16 +197,7 @@ impl Detector {
     /// Section 4.2). The multi-tuple keys are reported over the merged `X`
     /// attribute union, with `@` masking don't-care positions.
     pub fn detect_set_merged(&self, cfds: &[Cfd], data: Arc<Relation>) -> Result<Violations> {
-        let merged = MergedTableaux::build(cfds)
-            .map_err(|e| SqlError::Unsupported(format!("cannot merge tableaux: {e}")))?;
-        let mut catalog = Catalog::new();
-        catalog.register_arc(DATA_NAME, data);
-        catalog.register_as(JOINED_NAME, merged.joined_relation(JOINED_NAME));
-        let executor = Executor::new(&catalog).with_strategy(self.strategy);
-
-        let qc = executor.run(&merged::qc_merged(&merged, DATA_NAME, JOINED_NAME))?;
-        let qv = executor.run(&merged::qv_merged(&merged, DATA_NAME, JOINED_NAME))?;
-        Ok(report(qc.rows(), qv.rows()))
+        self.run_merged(cfds, data, false)
     }
 
     /// Like [`Detector::detect_set_merged`] but executing the queries in the
@@ -218,20 +209,30 @@ impl Detector {
         cfds: &[Cfd],
         data: Arc<Relation>,
     ) -> Result<Violations> {
+        self.run_merged(cfds, data, true)
+    }
+
+    /// Registers the merged tableaux of `cfds` in the form asked for and runs
+    /// the one merged query pair ([`merged`]) over them.
+    fn run_merged(&self, cfds: &[Cfd], data: Arc<Relation>, paper: bool) -> Result<Violations> {
         let merged = MergedTableaux::build(cfds)
             .map_err(|e| SqlError::Unsupported(format!("cannot merge tableaux: {e}")))?;
         let mut catalog = Catalog::new();
         catalog.register_arc(DATA_NAME, data);
-        catalog.register_as(TX_NAME, merged.x_relation(TX_NAME));
-        catalog.register_as(TY_NAME, merged.y_relation(TY_NAME));
+        let source = if paper {
+            catalog.register_as(TX_NAME, merged.x_relation(TX_NAME));
+            catalog.register_as(TY_NAME, merged.y_relation(TY_NAME));
+            TableauSource::Split {
+                tx: TX_NAME,
+                ty: TY_NAME,
+            }
+        } else {
+            catalog.register_as(JOINED_NAME, merged.joined_relation(JOINED_NAME));
+            TableauSource::Joined(JOINED_NAME)
+        };
         let executor = Executor::new(&catalog).with_strategy(self.strategy);
-
-        let qc = executor.run(&merged::qc_merged_paper(
-            &merged, DATA_NAME, TX_NAME, TY_NAME,
-        ))?;
-        let qv = executor.run(&merged::qv_merged_paper(
-            &merged, DATA_NAME, TX_NAME, TY_NAME,
-        ))?;
+        let qc = executor.run(&merged::qc_merged(&merged, DATA_NAME, source))?;
+        let qv = executor.run(&merged::qv_merged(&merged, DATA_NAME, source))?;
         Ok(report(qc.rows(), qv.rows()))
     }
 

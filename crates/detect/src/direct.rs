@@ -7,111 +7,58 @@
 //! [`Detector`](crate::Detector) — the differential harness asserts that
 //! both return identical reports on arbitrary data.
 
+use crate::groups::GroupEval;
 use crate::kernels::{scan_group, ScanScratch};
 use crate::report::Violations;
-use cfd_core::Cfd;
-use cfd_relation::{project_cols_into, Index, Relation, ValueId};
+use cfd_core::{Cfd, PatternValue};
+use cfd_relation::{Index, Relation, ValueId};
 
 /// The group-driven `QC`+`QV` scan over a **prebuilt** LHS [`Index`] — the
-/// prepared-engine counterpart of [`DirectDetector::detect`], consumed by a serving
-/// session that builds its per-CFD indexes once and shares them between
-/// detection and the repair engine's dirty-group tracking.
+/// prepared-engine counterpart of [`DirectDetector::detect`], consumed by a
+/// serving session that builds its per-CFD indexes once and shares them
+/// between detection and the repair engine's dirty-group tracking.
 ///
-/// Semantics are identical to [`DirectDetector::detect`] (the
-/// detector-equivalence tests pin byte-identical [`Violations`]): per index
-/// group, the pattern match on `X` is decided once per *key* instead of once
-/// per row, `QC` violators contribute their full tuples and groups with more
-/// than one distinct `Y` projection contribute their key. Grouping therefore
-/// costs nothing at detection time — it was paid once when the index was
-/// built — so a repeated detection over an unchanged instance is
-/// `O(|Tp| × #groups + |I_matched|)` with no hashing at all.
+/// Every index group goes through the one group evaluator
+/// ([`groups`](crate::groups)), so the report is byte-identical to
+/// [`DirectDetector::detect`] on every tableau (the detector-equivalence
+/// tests pin it). Grouping costs nothing at detection time — it was paid when
+/// the index was built — so a repeated detection over an unchanged instance
+/// is `O(|Tp| × #groups + |I_matched|)` with no hashing at all.
 ///
 /// When **every** pattern row is constant on the whole LHS, only the keys
 /// spelled out in the tableau can match any pattern at all, so the scan
 /// probes those keys directly instead of iterating the index —
 /// `O(|Tp| + |I_matched|)`, independent of the group count.
 ///
-/// # Contract
-///
-/// * `index` must cover `cfd.lhs()` in LHS order and be in sync with `rel`
-///   (same rows, maintained through [`Index::insert_row`] /
-///   [`Index::remove_row`] across edits).
-/// * `cfd` must not contain the don't-care symbol `@` (merged tableaux group
-///   by *effective* attribute subsets a full-LHS index cannot reproduce);
-///   callers fall back to [`DirectDetector::detect`] for those.
+/// `index` must cover `cfd.lhs()` in LHS order and be in sync with `rel`.
 pub fn detect_with_index(cfd: &Cfd, rel: &Relation, index: &Index) -> Violations {
-    debug_assert!(
-        !cfd.has_dont_care(),
-        "detect_with_index groups by the full LHS; don't-care tableaux need the scan"
-    );
     debug_assert_eq!(
         index.attrs(),
         cfd.lhs(),
         "the index must cover the CFD's LHS attributes in order"
     );
-    let ycols = rel.columns_for(cfd.rhs());
+    let mut eval = GroupEval::new(cfd, rel);
     let mut out = Violations::new();
-    let mut matching: Vec<&cfd_core::PatternTuple> = Vec::new();
-    // Reused across every group and row: no per-row allocation anywhere in
-    // the loop (the `Y` projection is gathered into this one buffer, and
-    // the distinct-`Y` check compares column cells at two row indices).
-    let mut y_scratch: Vec<ValueId> = Vec::with_capacity(ycols.len());
-    let mut check_group = |key: &[ValueId], rows: &[usize], out: &mut Violations| {
-        matching.clear();
-        matching.extend(cfd.tableau().iter().filter(|p| p.lhs_matches_ids(key)));
-        if matching.is_empty() {
-            return;
-        }
-        let mut first_row: Option<usize> = None;
-        let mut multi = false;
-        for &row in rows {
-            project_cols_into(&ycols, row, &mut y_scratch);
-            if matching.iter().any(|p| !p.rhs_matches_ids(&y_scratch)) {
-                // wslint: allow(panic_path, "rows come from the relation's own LHS index, always in range")
-                out.add_constant_violation(rel.row(row).expect("row in range").to_values());
-            }
-            match first_row {
-                None => first_row = Some(row),
-                Some(first) => {
-                    if !multi && ycols.iter().any(|col| col[first] != col[row]) {
-                        multi = true;
-                    }
-                }
-            }
-        }
-        if multi {
-            out.add_multi_tuple_key(key.iter().map(|id| id.resolve().clone()).collect());
-        }
-    };
-    let all_const = cfd
+    // `Some` iff every LHS cell of every pattern row is a constant: the
+    // tableau's own keys (a duplicate would only re-insert into the report's
+    // ordered sets, but the work is pointless).
+    let constant_keys: Option<Vec<Vec<ValueId>>> = cfd
         .tableau()
         .iter()
-        .all(|p| p.lhs().iter().all(cfd_core::PatternValue::is_const));
-    if all_const {
-        // Probe path: only the tableau's own keys can match any pattern —
-        // look them up instead of walking every group (duplicate keys are
-        // skipped; re-checking one would only re-insert into the report's
-        // ordered sets, but the work is pointless).
-        let mut probed: Vec<Vec<ValueId>> = Vec::with_capacity(cfd.tableau().len());
-        for pattern in cfd.tableau().iter() {
-            let key: Vec<ValueId> = pattern
-                .lhs()
-                .iter()
-                // wslint: allow(panic_path, "index-driven path is only selected for all-constant-LHS tableaux")
-                .map(|c| c.const_id().expect("all-constant LHS"))
-                .collect();
-            if probed.contains(&key) {
-                continue;
+        .map(|p| p.lhs().iter().map(PatternValue::const_id).collect())
+        .collect();
+    match constant_keys {
+        Some(mut keys) => {
+            keys.sort_unstable();
+            keys.dedup();
+            for key in &keys {
+                eval.report(key, index.lookup_ids(key), &mut out);
             }
-            let rows = index.lookup_ids(&key);
-            if !rows.is_empty() {
-                check_group(&key, rows, &mut out);
-            }
-            probed.push(key);
         }
-    } else {
-        for (key, rows) in index.iter() {
-            check_group(key, rows, &mut out);
+        None => {
+            for (key, rows) in index.iter() {
+                eval.report(key, rows, &mut out);
+            }
         }
     }
     out

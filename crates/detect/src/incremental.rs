@@ -5,12 +5,13 @@
 //! batches, and re-running the full query pair on every batch wastes a pass
 //! over data whose status cannot have changed. This module provides the
 //! natural incremental engine (an extension beyond the paper): an
-//! [`IncrementalDetector`] owns the current instance together with per-CFD
-//! hash indexes on the LHS attributes ([`cfd_relation::Index`], updated in
-//! place via `insert_row`/`remove_row`) and per-CFD violation state, and
+//! [`IncrementalDetector`] owns the current instance together with one
+//! [`LhsGroups`] per CFD — the maintained LHS index and the keys its edits
+//! dirtied — plus the `QC` violators and `QV` keys currently reported, and
 //! maintains exactly the violations a from-scratch
-//! [`DirectDetector`](crate::DirectDetector) run would report — at the cost
-//! of touching only the LHS groups an edit actually lands in.
+//! [`DirectDetector`](crate::DirectDetector) run would report at the cost of
+//! re-evaluating only the groups an edit lands in. How a group is evaluated
+//! is stated once, in [`groups`](crate::groups).
 //!
 //! Three entry points mirror the maintenance lifecycle:
 //!
@@ -31,12 +32,11 @@
 //! The engine does not require the instance to be clean: construction scans
 //! the initial relation once and carries any pre-existing violations forward.
 
+use crate::groups::{values, GroupEval, LhsGroups};
 use crate::report::Violations;
 use cfd_core::Cfd;
-use cfd_relation::{
-    project_attrs, project_cols, Index, Relation, RelationError, Schema, Tuple, ValueId,
-};
-use std::collections::{HashMap, HashSet};
+use cfd_relation::{project_attrs, Relation, RelationError, Schema, Tuple, ValueId};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One edit of a mixed maintenance batch (see
 /// [`IncrementalDetector::apply_batch`]).
@@ -49,21 +49,24 @@ pub enum BatchOp {
     Delete(Tuple),
 }
 
-/// Per-CFD incremental state: the LHS index plus the current violation
-/// summary, both maintained group-locally under edits.
+impl BatchOp {
+    /// The tuple the edit inserts or deletes.
+    pub fn tuple(&self) -> &Tuple {
+        match self {
+            BatchOp::Insert(tuple) | BatchOp::Delete(tuple) => tuple,
+        }
+    }
+}
+
+/// Per-CFD incremental state: the maintained LHS groups and the current
+/// violation summary.
 #[derive(Debug)]
 struct CfdState {
-    /// LHS-key → live row slots, kept in sync via `insert_row`/`remove_row`.
-    index: Index,
-    /// Memoized "does this LHS key match some pattern row" checks (a key's
-    /// verdict never changes, the tableau is fixed).
-    match_cache: HashMap<Vec<ValueId>, bool>,
-    /// Full cell vectors of live `QC`-violating tuples → live occurrence
-    /// count. Keys vanish when their count drops to zero.
-    qc: HashMap<Vec<ValueId>, usize>,
-    /// LHS keys currently having more than one distinct `Y` projection among
-    /// live, pattern-matched rows.
-    violating_keys: HashSet<Vec<ValueId>>,
+    groups: LhsGroups,
+    /// Full cell vectors of the live `QC`-violating tuples.
+    qc: HashSet<Vec<ValueId>>,
+    /// LHS keys of the groups holding more than one distinct `Y`.
+    multi: HashSet<Vec<ValueId>>,
 }
 
 /// Dead-slot floor below which [`IncrementalDetector`] never compacts:
@@ -98,48 +101,26 @@ impl IncrementalDetector {
     /// stream-induced ones. The relation is taken over as the engine's slot
     /// store — no copy (this is also the compaction path).
     pub fn new(base: Relation, cfds: Vec<Cfd>) -> Self {
-        let indexes: Vec<Index> = cfds.iter().map(|c| base.build_index(c.lhs())).collect();
         let mut by_value: HashMap<Vec<ValueId>, Vec<usize>> = HashMap::new();
         for (slot, row) in base.iter() {
             by_value.entry(row.to_ids()).or_default().push(slot);
         }
-        let live = base.len();
         let states = cfds
             .iter()
-            .zip(indexes)
-            .map(|(cfd, index)| {
-                let mut match_cache = HashMap::new();
-                let mut qc: HashMap<Vec<ValueId>, usize> = HashMap::new();
-                // Columnar QC pass: only the X ∪ Y columns are read; the
-                // full cell vector is materialized for violators only.
-                let xcols = base.columns_for(cfd.lhs());
-                let ycols = base.columns_for(cfd.rhs());
-                for i in 0..base.len() {
-                    let x = project_cols(&xcols, i);
-                    let y = project_cols(&ycols, i);
-                    if qc_violates_ids(cfd, &x, &y) {
-                        // wslint: allow(panic_path, "i < base.len() loop bound makes row(i) infallible")
-                        let cells = base.row(i).expect("row in range").to_ids();
-                        *qc.entry(cells).or_insert(0) += 1;
+            .map(|cfd| {
+                let groups = LhsGroups::build(cfd, &base);
+                let mut eval = GroupEval::new(cfd, &base);
+                let (mut qc, mut multi) = (HashSet::new(), HashSet::new());
+                for (key, slots) in groups.index().iter() {
+                    let violator = |slot| qc.extend(base.row(slot).map(|row| row.to_ids()));
+                    if eval.fold(key, slots, violator) {
+                        multi.insert(key.clone());
                     }
                 }
-                let mut violating_keys = HashSet::new();
-                for (key, slots) in index.iter() {
-                    let matched = *match_cache
-                        .entry(key.clone())
-                        .or_insert_with(|| cfd.tableau().iter().any(|p| p.lhs_matches_ids(key)));
-                    if matched && distinct_y_exceeds_one(&ycols, slots.iter().copied()) {
-                        violating_keys.insert(key.clone());
-                    }
-                }
-                CfdState {
-                    index,
-                    match_cache,
-                    qc,
-                    violating_keys,
-                }
+                CfdState { groups, qc, multi }
             })
             .collect();
+        let live = base.len();
         IncrementalDetector {
             store: base,
             alive: vec![true; live],
@@ -176,11 +157,11 @@ impl IncrementalDetector {
     pub fn violations(&self) -> Violations {
         let mut out = Violations::new();
         for state in &self.states {
-            for cells in state.qc.keys() {
-                out.add_constant_violation(cells.iter().map(|id| id.resolve().clone()).collect());
+            for cells in &state.qc {
+                out.add_constant_violation(values(cells));
             }
-            for key in &state.violating_keys {
-                out.add_multi_tuple_key(key.iter().map(|id| id.resolve().clone()).collect());
+            for key in &state.multi {
+                out.add_multi_tuple_key(values(key));
             }
         }
         out
@@ -190,13 +171,22 @@ impl IncrementalDetector {
     /// column-wise gather of the live slots. Meant for audits and
     /// differential tests; detection itself never needs it.
     pub fn current_relation(&self) -> Relation {
-        let keep: Vec<usize> = self
-            .alive
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, &a)| a.then_some(slot))
-            .collect();
-        self.store.gather_rows(&keep)
+        let live = (0..self.alive.len()).filter(|&slot| self.alive[slot]);
+        self.store.gather_rows(&live.collect::<Vec<_>>())
+    }
+
+    /// Rejects the first of `tuples` whose arity is not the instance's, with
+    /// the error every write path of the workspace returns for it.
+    fn check_arity<'t>(
+        &self,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+    ) -> Result<(), RelationError> {
+        let expected = self.store.schema().arity();
+        let bad = tuples.into_iter().find(|t| t.arity() != expected);
+        bad.map_or(Ok(()), |t| {
+            let got = t.arity();
+            Err(RelationError::ArityMismatch { expected, got })
+        })
     }
 
     /// Detects all violations of `current ∪ batch` that involve at least one
@@ -204,48 +194,38 @@ impl IncrementalDetector {
     /// tuples** are reported the same as batch-vs-current conflicts: the
     /// group a batch tuple lands in is evaluated over the union.
     ///
-    /// Batch tuples must have the instance's arity.
-    pub fn detect_insertions(&self, batch: &[Tuple]) -> Violations {
+    /// Errors if any tuple's arity differs from the instance schema.
+    pub fn detect_insertions(&self, batch: &[Tuple]) -> Result<Violations, RelationError> {
+        self.check_arity(batch)?;
         let mut out = Violations::new();
         for (cfd, state) in self.cfds.iter().zip(&self.states) {
-            let lhs = cfd.lhs();
-            let rhs = cfd.rhs();
-
-            // Single-tuple (QC-style) violations among the inserted tuples.
+            // Group the batch by LHS key; each group is the batch members
+            // (the only `QC` candidates) followed by the live rows sharing
+            // the key, fetched through the maintained index.
+            let mut members: BTreeMap<Vec<ValueId>, Vec<&Tuple>> = BTreeMap::new();
             for tuple in batch {
-                if qc_violates(cfd, tuple) {
-                    out.add_constant_violation(tuple.to_values());
-                }
+                let key = tuple.project_ids(cfd.lhs());
+                members.entry(key).or_default().push(tuple);
             }
-
-            // Multi-tuple (QV-style) violations: group the batch by LHS
-            // value, keep only groups matching some pattern, and union each
-            // group with itself and with the live rows sharing that LHS
-            // value (via the maintained index, projected straight off the
-            // store's Y columns).
-            let rhs_cols = self.store.columns_for(rhs);
-            let mut groups: HashMap<Vec<ValueId>, Vec<&Tuple>> = HashMap::new();
-            for tuple in batch {
-                groups
-                    .entry(tuple.project_ids(lhs))
-                    .or_default()
-                    .push(tuple);
-            }
-            for (key, members) in groups {
-                if !cfd.tableau().iter().any(|p| p.lhs_matches_ids(&key)) {
+            let mut eval = GroupEval::new(cfd, &self.store);
+            for (key, members) in &members {
+                if !eval.begin(key) {
                     continue;
                 }
-                let mut y_projections: HashSet<Vec<ValueId>> =
-                    members.iter().map(|t| t.project_ids(rhs)).collect();
-                for &slot in state.index.lookup_ids(&key) {
-                    y_projections.insert(project_cols(&rhs_cols, slot));
+                let mut multi = false;
+                for tuple in members {
+                    multi = eval.add_cells(&tuple.project_ids(cfd.rhs()));
+                    if eval.violated().next().is_some() {
+                        out.add_constant_violation(tuple.to_values());
+                    }
                 }
-                if y_projections.len() > 1 {
-                    out.add_multi_tuple_key(key.iter().map(|id| id.resolve().clone()).collect());
+                let mut slots = state.groups.index().lookup_ids(key).iter();
+                if multi || slots.any(|&slot| eval.add_row(slot)) {
+                    out.add_multi_tuple_key(values(key));
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// The violations of the current instance that deleting `batch` (bag
@@ -259,65 +239,45 @@ impl IncrementalDetector {
     /// *merged* reports: an item only counts as resolved when no CFD still
     /// produces it afterwards (two CFDs sharing an LHS can report the same
     /// key — resolving it for one of them resolves nothing).
-    pub fn detect_deletions(&self, batch: &[Tuple]) -> Violations {
-        // How many occurrences of each exact tuple the batch removes.
-        let mut del_counts: HashMap<Vec<ValueId>, usize> = HashMap::new();
+    ///
+    /// Errors if any tuple's arity differs from the instance schema.
+    pub fn detect_deletions(&self, batch: &[Tuple]) -> Result<Violations, RelationError> {
+        self.check_arity(batch)?;
+        // The slots the batch would retire: per listed tuple one live
+        // occurrence, latest first (deleting an absent tuple is a no-op).
+        let mut doomed: HashSet<usize> = HashSet::new();
+        let mut taken: HashMap<&[ValueId], usize> = HashMap::new();
         for tuple in batch {
-            *del_counts.entry(tuple.ids().to_vec()).or_insert(0) += 1;
-        }
-        // Clamp to the live population (deleting an absent tuple is a no-op).
-        for (cells, count) in del_counts.iter_mut() {
-            let live = self.by_value.get(cells).map_or(0, Vec::len);
-            *count = (*count).min(live);
+            let Some(slots) = self.by_value.get(tuple.ids()) else {
+                continue;
+            };
+            let taken = taken.entry(tuple.ids()).or_insert(0);
+            if let Some(&slot) = slots.iter().rev().nth(*taken) {
+                doomed.insert(slot);
+                *taken += 1;
+            }
         }
 
-        // Simulate the merged report of `current \ batch`: per CFD, every
-        // state entry survives unless the deletions kill it. Only groups the
-        // batch touches need re-evaluation; the rest carry over.
+        // The merged report of `current \ batch`: a `QC` entry survives while
+        // live occurrences remain; a violating group the batch does not touch
+        // carries over, a touched one is re-evaluated without the doomed
+        // slots.
         let mut after = Violations::new();
         for (cfd, state) in self.cfds.iter().zip(&self.states) {
-            let lhs = cfd.lhs();
-            let rhs = cfd.rhs();
-
-            // QC entries survive while live occurrences remain.
-            for cells in state.qc.keys() {
-                let deleted = del_counts.get(cells).copied().unwrap_or(0);
+            for cells in &state.qc {
                 let live = self.by_value.get(cells).map_or(0, Vec::len);
-                if live > deleted {
-                    after.add_constant_violation(
-                        cells.iter().map(|id| id.resolve().clone()).collect(),
-                    );
+                if live > taken.get(cells.as_slice()).copied().unwrap_or(0) {
+                    after.add_constant_violation(values(cells));
                 }
             }
-
-            // Violating groups: recompute the touched ones with the deleted
-            // occurrences subtracted; untouched ones stay violating.
-            let rhs_cols = self.store.columns_for(rhs);
-            let mut touched: HashSet<Vec<ValueId>> = HashSet::new();
-            for (cells, &deleted) in &del_counts {
-                if deleted > 0 {
-                    touched.insert(project_attrs(cells, lhs));
-                }
-            }
-            for key in &state.violating_keys {
-                let still_violating = if touched.contains(key) {
-                    let mut y_counts: HashMap<Vec<ValueId>, usize> = HashMap::new();
-                    for &slot in state.index.lookup_ids(key) {
-                        *y_counts.entry(project_cols(&rhs_cols, slot)).or_insert(0) += 1;
-                    }
-                    for (cells, &deleted) in &del_counts {
-                        if deleted > 0 && project_attrs(cells, lhs) == *key {
-                            if let Some(c) = y_counts.get_mut(&project_attrs(cells, rhs)) {
-                                *c = c.saturating_sub(deleted);
-                            }
-                        }
-                    }
-                    y_counts.values().filter(|&&c| c > 0).count() > 1
-                } else {
-                    true
-                };
-                if still_violating {
-                    after.add_multi_tuple_key(key.iter().map(|id| id.resolve().clone()).collect());
+            let keys = taken.keys().map(|cells| project_attrs(cells, cfd.lhs()));
+            let touched: HashSet<Vec<ValueId>> = keys.collect();
+            let mut eval = GroupEval::new(cfd, &self.store);
+            for key in &state.multi {
+                let slots = state.groups.index().lookup_ids(key).iter().copied();
+                let left = slots.filter(|slot| !doomed.contains(slot));
+                if !touched.contains(key) || eval.is_multi(key, left) {
+                    after.add_multi_tuple_key(values(key));
                 }
             }
         }
@@ -335,7 +295,7 @@ impl IncrementalDetector {
                 out.add_multi_tuple_key(k.clone());
             }
         }
-        out
+        Ok(out)
     }
 
     /// Applies a mixed insert/delete batch to the owned instance, updating
@@ -355,91 +315,67 @@ impl IncrementalDetector {
     /// [`IncrementalDetector::violations`] call produces the same report on
     /// demand.
     pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<Violations, RelationError> {
-        let arity = self.store.schema().arity();
-        for op in ops {
-            let t = match op {
-                BatchOp::Insert(t) | BatchOp::Delete(t) => t,
-            };
-            if t.arity() != arity {
-                return Err(RelationError::ArityMismatch {
-                    expected: arity,
-                    got: t.arity(),
-                });
-            }
-        }
+        self.check_arity(ops.iter().map(BatchOp::tuple))?;
 
-        // Per-CFD set of LHS keys whose group membership changed.
-        let mut touched: Vec<HashSet<Vec<ValueId>>> =
-            self.states.iter().map(|_| HashSet::new()).collect();
-
+        // Apply the edits; every maintained index records the keys it
+        // dirties.
         for op in ops {
             match op {
                 BatchOp::Insert(tuple) => {
                     let slot = self.store.len();
-                    self.store
-                        .push_ids(tuple.ids())
-                        // wslint: allow(panic_path, "apply_batch validates every op's arity before any op mutates the store")
-                        .expect("batch arity validated above");
+                    self.store.push_ids(tuple.ids())?;
                     self.alive.push(true);
                     self.live += 1;
                     self.by_value
                         .entry(tuple.ids().to_vec())
                         .or_default()
                         .push(slot);
-                    for ((cfd, state), touched) in
-                        self.cfds.iter().zip(&mut self.states).zip(&mut touched)
-                    {
-                        state.index.insert_row(slot, tuple.ids());
-                        touched.insert(tuple.project_ids(cfd.lhs()));
-                        if qc_violates(cfd, tuple) {
-                            *state.qc.entry(tuple.ids().to_vec()).or_insert(0) += 1;
-                        }
+                    for state in &mut self.states {
+                        state.groups.insert_row(slot, tuple.ids());
                     }
                 }
                 BatchOp::Delete(tuple) => {
-                    let cells = tuple.ids().to_vec();
-                    let Some(slot) = self.by_value.get_mut(&cells).and_then(Vec::pop) else {
+                    let Some(slots) = self.by_value.get_mut(tuple.ids()) else {
                         continue; // no live occurrence: no-op
                     };
-                    if self.by_value.get(&cells).is_some_and(Vec::is_empty) {
-                        self.by_value.remove(&cells);
+                    let Some(slot) = slots.pop() else { continue };
+                    if slots.is_empty() {
+                        self.by_value.remove(tuple.ids());
                     }
                     self.alive[slot] = false;
                     self.live -= 1;
-                    for ((cfd, state), touched) in
-                        self.cfds.iter().zip(&mut self.states).zip(&mut touched)
-                    {
-                        state.index.remove_row(slot, tuple.ids());
-                        touched.insert(tuple.project_ids(cfd.lhs()));
-                        if qc_violates(cfd, tuple) {
-                            if let Some(count) = state.qc.get_mut(&cells) {
-                                *count -= 1;
-                                if *count == 0 {
-                                    state.qc.remove(&cells);
-                                }
-                            }
-                        }
+                    for state in &mut self.states {
+                        state.groups.remove_row(slot, tuple.ids());
                     }
                 }
             }
         }
 
-        // Re-evaluate only the touched groups.
-        for ((cfd, state), touched) in self.cfds.iter().zip(&mut self.states).zip(&touched) {
-            let rhs_cols = self.store.columns_for(cfd.rhs());
-            for key in touched {
-                let matched = *state
-                    .match_cache
-                    .entry(key.clone())
-                    .or_insert_with(|| cfd.tableau().iter().any(|p| p.lhs_matches_ids(key)));
-                if !matched {
+        // `QC` is a property of the tuple alone: a violating tuple the batch
+        // names is reported while an occurrence of it is live. `QV` can only
+        // have changed in the dirtied groups.
+        for (cfd, state) in self.cfds.iter().zip(&mut self.states) {
+            let mut eval = GroupEval::new(cfd, &self.store);
+            for tuple in ops.iter().map(BatchOp::tuple) {
+                if !eval.begin(&tuple.project_ids(cfd.lhs())) {
                     continue;
                 }
-                let slots = state.index.lookup_ids(key).iter().copied();
-                if distinct_y_exceeds_one(&rhs_cols, slots) {
-                    state.violating_keys.insert(key.clone());
+                eval.add_cells(&tuple.project_ids(cfd.rhs()));
+                if eval.violated().next().is_none() {
+                    continue;
+                }
+                if self.by_value.contains_key(tuple.ids()) {
+                    state.qc.insert(tuple.ids().to_vec());
                 } else {
-                    state.violating_keys.remove(key);
+                    state.qc.remove(tuple.ids());
+                }
+            }
+            for key in state.groups.drain_dirty() {
+                let slots = state.groups.index().lookup_ids(&key).iter().copied();
+                if eval.is_multi(&key, slots) {
+                    state.multi.insert(key);
+                } else {
+                    state.multi.remove(&key);
                 }
             }
         }
@@ -466,40 +402,6 @@ impl IncrementalDetector {
         let cfds = std::mem::take(&mut self.cfds);
         *self = IncrementalDetector::new(rel, cfds);
     }
-}
-
-/// Whether `tuple` alone violates some pattern row of `cfd` (the `QC` check).
-fn qc_violates(cfd: &Cfd, tuple: &Tuple) -> bool {
-    let x = tuple.project_ids(cfd.lhs());
-    let y = tuple.project_ids(cfd.rhs());
-    qc_violates_ids(cfd, &x, &y)
-}
-
-/// The `QC` check on already-projected `X`/`Y` cell ids.
-fn qc_violates_ids(cfd: &Cfd, x: &[ValueId], y: &[ValueId]) -> bool {
-    cfd.tableau()
-        .iter()
-        .any(|p| p.lhs_matches_ids(x) && !p.rhs_matches_ids(y))
-}
-
-/// Whether the rows at `slots` have more than one distinct `Y` projection
-/// (early exit at the second distinct value), read straight off the
-/// pre-gathered `Y` column slices (`rhs_cols` — gathered once per CFD by the
-/// caller, since the columns are invariant across the keys of one pass).
-fn distinct_y_exceeds_one(rhs_cols: &[&[ValueId]], slots: impl Iterator<Item = usize>) -> bool {
-    let mut first: Option<Vec<ValueId>> = None;
-    for slot in slots {
-        let y = project_cols(rhs_cols, slot);
-        match &first {
-            None => first = Some(y),
-            Some(seen) => {
-                if *seen != y {
-                    return true;
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -532,7 +434,7 @@ mod tests {
         let batch = vec![tuple(&[
             "01", "215", "5555555", "Deb", "Oak Ave.", "PHI", "02394",
         ])];
-        assert!(detector.detect_insertions(&batch).is_clean());
+        assert!(detector.detect_insertions(&batch).unwrap().is_clean());
         assert_eq!(detector.cfds().len(), 2);
         assert!(detector.violations().is_clean());
     }
@@ -542,7 +444,9 @@ mod tests {
         let detector = IncrementalDetector::new(clean_base(), vec![phi2()]);
         // Area code 908 but city NYC: violates the (01, 908, _ ‖ _, MH, _) row.
         let bad = tuple(&["01", "908", "9999999", "Eve", "Pine St.", "NYC", "07974"]);
-        let report = detector.detect_insertions(std::slice::from_ref(&bad));
+        let report = detector
+            .detect_insertions(std::slice::from_ref(&bad))
+            .unwrap();
         assert_eq!(report.constant_violations().len(), 1);
         assert!(report.multi_tuple_keys().is_empty());
     }
@@ -553,7 +457,9 @@ mod tests {
         // Same (CC, AC) as Ian but a different city: a multi-tuple violation
         // that only exists in the combined instance.
         let bad = tuple(&["44", "131", "7777777", "Una", "Low Rd.", "GLA", "G1"]);
-        let report = detector.detect_insertions(std::slice::from_ref(&bad));
+        let report = detector
+            .detect_insertions(std::slice::from_ref(&bad))
+            .unwrap();
         assert_eq!(report.multi_tuple_keys().len(), 1);
         assert_eq!(
             report.multi_tuple_keys().iter().next().unwrap(),
@@ -576,7 +482,7 @@ mod tests {
         let expected_key = vec![Value::from("49"), Value::from("030")];
 
         let detector = IncrementalDetector::new(base.clone(), vec![phi3_with_fd()]);
-        let preview = detector.detect_insertions(&batch);
+        let preview = detector.detect_insertions(&batch).unwrap();
         assert_eq!(preview.multi_tuple_keys().len(), 1);
         assert_eq!(
             preview.multi_tuple_keys().iter().next().unwrap(),
@@ -624,8 +530,9 @@ mod tests {
             CfdWorkload::new(1).single(EmbeddedFd::AreaToCity, 200, 100.0),
         ];
 
-        let incremental =
-            IncrementalDetector::new(base.clone(), cfds.clone()).detect_insertions(&batch);
+        let incremental = IncrementalDetector::new(base.clone(), cfds.clone())
+            .detect_insertions(&batch)
+            .unwrap();
 
         let mut combined = base;
         for t in &batch {
@@ -643,8 +550,8 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut detector = IncrementalDetector::new(clean_base(), vec![phi2(), phi3_with_fd()]);
-        assert!(detector.detect_insertions(&[]).is_clean());
-        assert!(detector.detect_deletions(&[]).is_clean());
+        assert!(detector.detect_insertions(&[]).unwrap().is_clean());
+        assert!(detector.detect_deletions(&[]).unwrap().is_clean());
         assert!(detector.apply_batch(&[]).unwrap().is_clean());
     }
 
@@ -691,7 +598,7 @@ mod tests {
         let engine = IncrementalDetector::new(cust_instance(), vec![phi2()]);
         let t1 = cust_instance().row(0).unwrap().to_tuple();
         // Deleting t1 resolves its QC violation (its only occurrence)…
-        let resolved = engine.detect_deletions(std::slice::from_ref(&t1));
+        let resolved = engine.detect_deletions(std::slice::from_ref(&t1)).unwrap();
         assert_eq!(resolved.constant_violations().len(), 1);
         // …but the engine itself is unchanged (preview only).
         assert_eq!(engine.violations().constant_violations().len(), 2);
@@ -699,11 +606,13 @@ mod tests {
         let t6 = cust_instance().row(5).unwrap().to_tuple();
         assert!(engine
             .detect_deletions(std::slice::from_ref(&t6))
+            .unwrap()
             .is_clean());
         // Deleting a tuple that is not in the instance is a no-op.
         let ghost = tuple(&["00", "000", "0", "No", "One", "NW", "00000"]);
         assert!(engine
             .detect_deletions(std::slice::from_ref(&ghost))
+            .unwrap()
             .is_clean());
     }
 
@@ -724,15 +633,20 @@ mod tests {
         // Deleting Ann leaves Bob vs Cid conflicting: nothing resolved.
         assert!(engine
             .detect_deletions(&[rel.row(0).unwrap().to_tuple()])
+            .unwrap()
             .is_clean());
         // Deleting Cid resolves the group.
-        let resolved = engine.detect_deletions(&[rel.row(2).unwrap().to_tuple()]);
+        let resolved = engine
+            .detect_deletions(&[rel.row(2).unwrap().to_tuple()])
+            .unwrap();
         assert_eq!(resolved.multi_tuple_keys().len(), 1);
         // Deleting Ann *and* Bob also resolves it (one distinct Y remains).
-        let resolved = engine.detect_deletions(&[
-            rel.row(0).unwrap().to_tuple(),
-            rel.row(1).unwrap().to_tuple(),
-        ]);
+        let resolved = engine
+            .detect_deletions(&[
+                rel.row(0).unwrap().to_tuple(),
+                rel.row(1).unwrap().to_tuple(),
+            ])
+            .unwrap();
         assert_eq!(resolved.multi_tuple_keys().len(), 1);
     }
 
@@ -764,7 +678,9 @@ mod tests {
 
         // Deleting (a,b,y,q) collapses C to {x} but leaves D = {p,r}: the
         // key [a,b] is still reported afterwards, so nothing is resolved.
-        let preview = engine.detect_deletions(std::slice::from_ref(&rows[1]));
+        let preview = engine
+            .detect_deletions(std::slice::from_ref(&rows[1]))
+            .unwrap();
         assert!(
             preview.is_clean(),
             "key still violating under the second CFD must not count as resolved"
@@ -775,7 +691,9 @@ mod tests {
         assert_eq!(applied.multi_tuple_keys().len(), 1);
 
         // Also deleting (a,b,x,r) collapses D to {p}: now the key resolves.
-        let preview = engine.detect_deletions(std::slice::from_ref(&rows[2]));
+        let preview = engine
+            .detect_deletions(std::slice::from_ref(&rows[2]))
+            .unwrap();
         assert_eq!(preview.multi_tuple_keys().len(), 1);
     }
 
@@ -788,6 +706,7 @@ mod tests {
         // t1 appears twice; deleting one occurrence keeps the QC entry live.
         assert!(engine
             .detect_deletions(std::slice::from_ref(&dup))
+            .unwrap()
             .constant_violations()
             .is_empty());
         let report = engine.apply_batch(&[BatchOp::Delete(dup.clone())]).unwrap();
@@ -837,5 +756,13 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RelationError::ArityMismatch { .. }));
         assert_eq!(engine.len(), before, "failed batch must not be applied");
+        // The previews validate the same way, short or long.
+        let long = Tuple::nulls(engine.schema().arity() + 1);
+        for bad in [Tuple::new(vec![Value::from("short")]), long] {
+            let bad = std::slice::from_ref(&bad);
+            for refused in [engine.detect_insertions(bad), engine.detect_deletions(bad)] {
+                assert!(matches!(refused, Err(RelationError::ArityMismatch { .. })));
+            }
+        }
     }
 }

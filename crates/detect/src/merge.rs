@@ -18,10 +18,13 @@ pub struct MergedTableaux {
     /// Union of the RHS attributes of all CFDs, in schema order.
     y_attrs: Vec<String>,
     /// One row per pattern tuple: its id and its X-side cells.
-    x_rows: Vec<(usize, Vec<PatternValue>)>,
+    x_rows: Vec<IdRow>,
     /// One row per pattern tuple: its id and its Y-side cells.
-    y_rows: Vec<(usize, Vec<PatternValue>)>,
+    y_rows: Vec<IdRow>,
 }
+
+/// One half of a merged pattern row: its id and its cells.
+type IdRow = (usize, Vec<PatternValue>);
 
 impl MergedTableaux {
     /// Merges the tableaux of `cfds`. All CFDs must share a schema and must
@@ -122,14 +125,14 @@ impl MergedTableaux {
     /// Materializes `T^X_Σ` as a relation named `name`, with an `id` column
     /// followed by the X attributes (Fig. 7(a)).
     pub fn x_relation(&self, name: &str) -> Relation {
-        Self::materialize(name, &self.x_attrs, &self.x_rows)
+        self.materialize(name, &[("", &self.x_attrs, &self.x_rows)])
     }
 
     /// Materializes `T^Y_Σ` as a relation named `name` (Fig. 7(b)). Columns
     /// that also appear in `T^X_Σ` keep their names — the two tableaux are
     /// separate tables, so there is no collision.
     pub fn y_relation(&self, name: &str) -> Relation {
-        Self::materialize(name, &self.y_attrs, &self.y_rows)
+        self.materialize(name, &[("", &self.y_attrs, &self.y_rows)])
     }
 
     /// Materializes the 1:1 join of `T^X_Σ` and `T^Y_Σ` on `id` as a single
@@ -138,23 +141,32 @@ impl MergedTableaux {
     /// row per id — and doing it once avoids a quadratic nested loop in the
     /// in-memory executor).
     pub fn joined_relation(&self, name: &str) -> Relation {
+        let halves = [
+            ("X_", &self.x_attrs, &self.x_rows),
+            ("Y_", &self.y_attrs, &self.y_rows),
+        ];
+        self.materialize(name, &halves)
+    }
+
+    /// One relation named `name`: the `id` column, then per half its
+    /// attributes (column names prefixed) with the half's cells of each
+    /// pattern row.
+    fn materialize(&self, name: &str, halves: &[(&str, &Vec<String>, &Vec<IdRow>)]) -> Relation {
         let mut builder = Schema::builder(name).text("id");
-        for a in &self.x_attrs {
-            builder = builder.text(format!("X_{a}"));
+        for (prefix, attrs, _) in halves {
+            for a in attrs.iter() {
+                builder = builder.text(format!("{prefix}{a}"));
+            }
         }
-        for a in &self.y_attrs {
-            builder = builder.text(format!("Y_{a}"));
-        }
-        let schema = builder.build();
-        let mut rel = Relation::with_capacity(schema, self.x_rows.len());
-        for ((id, x_cells), (_, y_cells)) in self.x_rows.iter().zip(&self.y_rows) {
-            let mut values = Vec::with_capacity(1 + x_cells.len() + y_cells.len());
-            values.push(Value::from(id.to_string()));
-            values.extend(x_cells.iter().map(PatternValue::to_value));
-            values.extend(y_cells.iter().map(PatternValue::to_value));
+        let mut rel = Relation::with_capacity(builder.build(), self.len());
+        for (i, (id, _)) in self.x_rows.iter().enumerate() {
+            let mut values = vec![Value::from(id.to_string())];
+            for (_, _, rows) in halves {
+                values.extend(rows[i].1.iter().map(PatternValue::to_value));
+            }
             rel.push(Tuple::new(values))
                 // wslint: allow(panic_path, "the row is built attribute-by-attribute to this same schema above")
-                .expect("joined row matches schema");
+                .expect("merged row matches schema");
         }
         rel
     }
@@ -174,24 +186,6 @@ impl MergedTableaux {
             ));
         }
         Cfd::from_parts(schema.clone(), lhs, rhs, tableau)
-    }
-
-    fn materialize(name: &str, attrs: &[String], rows: &[(usize, Vec<PatternValue>)]) -> Relation {
-        let mut builder = Schema::builder(name).text("id");
-        for a in attrs {
-            builder = builder.text(a.clone());
-        }
-        let schema = builder.build();
-        let mut rel = Relation::with_capacity(schema, rows.len());
-        for (id, cells) in rows {
-            let mut values = Vec::with_capacity(1 + cells.len());
-            values.push(Value::from(id.to_string()));
-            values.extend(cells.iter().map(PatternValue::to_value));
-            rel.push(Tuple::new(values))
-                // wslint: allow(panic_path, "the row is built attribute-by-attribute to this same schema above")
-                .expect("merged row matches schema");
-        }
-        rel
     }
 }
 

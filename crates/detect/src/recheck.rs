@@ -1,170 +1,60 @@
 //! Narrow per-group re-checking — the incremental-violation-maintenance
 //! entry point consumed by `cfd-repair`.
 //!
-//! After a repair engine edits a handful of cells, re-running a full
-//! detection pass per CFD (as the pass-loop heuristic does) costs
-//! `O(passes × |Σ| × |I|)`. But a cell edit can only create or resolve
-//! violations inside the `GROUP BY X` groups it touches: the group the row
-//! left, the group it joined (when an `X` attribute changed), or the group it
-//! already sat in (when a `Y` attribute changed). Given an [`Index`] over the
-//! CFD's LHS attributes, those groups are a hash lookup away — so re-checking
-//! after an edit is `O(|touched groups|)` instead of `O(|I|)`.
-//!
-//! [`recheck_lhs_key`] is that re-check: it evaluates exactly the `QC`/`QV`
-//! semantics of [`Cfd::violations`] restricted to one LHS group, via the
-//! columnar machinery (`Y` column slices, interned-id pattern matches).
-//! [`recheck_lhs_keys`] is its **batched** form: one call re-checks a whole
-//! round's worth of dirtied groups through the [`BLOCK`]-chunked column
-//! access of the vectorized kernels, resolving the RHS column slices once
-//! per batch (not once per key), deciding the pattern-independent
-//! multi-tuple verdict in one column-major pass per group, and reusing a
-//! caller-held [`RecheckScratch`] so the steady state allocates nothing per
-//! key — the entry point the parallel repair engine fans out over worker
-//! threads.
+//! After a repair engine edits a handful of cells, a violation can only
+//! appear or disappear inside the `GROUP BY X` groups the edits touched: the
+//! group a row left, the group it joined, or the group it already sat in.
+//! [`LhsGroups`](crate::LhsGroups) tracks exactly those keys, and
+//! [`recheck_lhs_keys`] re-evaluates them through its index —
+//! `O(|touched groups|)` instead of `O(|I|)` per round. What "evaluates"
+//! means is stated once in [`groups`](crate::groups).
 //!
 //! # Contract
 //!
-//! * `index` must cover `cfd.lhs()` **in LHS order** and be in sync with
-//!   `rel` (maintained through [`Index::insert_row`] / [`Index::remove_row`]
-//!   as cells are edited).
-//! * `cfd` must not contain the don't-care symbol `@` (merged-tableaux CFDs
-//!   group by *effective* attribute subsets, which a full-LHS index cannot
-//!   reproduce; callers fall back to [`Cfd::violations`] for those — checked
-//!   by a `debug_assert`).
-//! * The returned witnesses are exactly the subset of [`Cfd::violations`]
-//!   whose group key equals `key`, in the same deterministic
-//!   `(pattern_index, rows, kind)` order — byte-determinism of repair rests
-//!   on this. [`recheck_lhs_keys`] emits each key's witnesses in the order
-//!   the keys were given, each key's block internally in that same order,
-//!   so batching a sorted key list is byte-identical to looping
-//!   [`recheck_lhs_key`] over it.
+//! `index` must be in sync with `rel`. The re-check promises the **oracle's**
+//! witnesses, so it returns `None` — the caller takes the scan — when `cfd`
+//! has don't-care cells or `index` does not cover `cfd.lhs()` in order.
+//! Otherwise the witnesses are exactly the subset of [`Cfd::violations`]
+//! whose group key is among `keys`: key by key in the order given, each
+//! key's witnesses in the oracle's deterministic `(pattern_index, rows,
+//! kind)` order — byte-determinism of repair rests on this. Re-checking a
+//! sorted key list in contiguous chunks and concatenating is therefore
+//! identical to re-checking it whole. Clean and absent keys contribute
+//! nothing. Groups are evaluated lazily, as the iterator is pulled, so a
+//! satisfaction sweep stops at its first witness.
 
-use crate::kernels::BLOCK;
-use cfd_core::{Cfd, ViolationKind, ViolationWitness};
+use crate::groups::GroupEval;
+use cfd_core::{Cfd, ViolationWitness};
 use cfd_relation::{Index, Relation, ValueId};
 
-/// Reusable buffers for [`recheck_lhs_keys`]: cleared between groups but
-/// never shrunk, so repeated batched re-checks (one per repair round, or one
-/// per worker chunk) allocate nothing per key in the steady state — the same
-/// arena discipline as the kernels' `ScanScratch`.
-#[derive(Debug, Default)]
-pub struct RecheckScratch {
-    /// Sorted row ids of the group under check.
-    rows: Vec<usize>,
-}
-
-impl RecheckScratch {
-    /// Fresh scratch (allocates lazily on first use).
-    pub fn new() -> Self {
-        RecheckScratch::default()
-    }
-}
-
-/// Re-checks one `GROUP BY X` group of `cfd` for violations.
-///
-/// `key` is the group's interned LHS projection (in `cfd.lhs()` order);
-/// the group's rows are resolved through `index`. Returns the violation
-/// witnesses of that group only — see the [module docs](self) for the full
-/// contract. Equivalent to a one-key [`recheck_lhs_keys`] batch.
+/// Re-checks one `GROUP BY X` group of `cfd`: a one-key [`recheck_lhs_keys`].
 pub fn recheck_lhs_key(
     cfd: &Cfd,
     rel: &Relation,
     index: &Index,
     key: &[ValueId],
-) -> Vec<ViolationWitness> {
-    recheck_lhs_keys(cfd, rel, index, &[key], &mut RecheckScratch::new())
+) -> Option<Vec<ViolationWitness>> {
+    Some(recheck_lhs_keys(cfd, rel, index, &[key])?.collect())
 }
 
-/// Re-checks a batch of `GROUP BY X` groups of `cfd` in one call.
-///
-/// Byte-identical to flat-mapping [`recheck_lhs_key`] over `keys` in order,
-/// but vectorized: the RHS column slices are resolved once per batch, each
-/// group's rows are gathered into the reusable `scratch` (no per-key
-/// allocation in steady state), the group's Y cells are compared
-/// column-major in [`BLOCK`]-sized chunks, and the pattern-independent
-/// multi-tuple verdict is decided once per group instead of once per
-/// pattern. See the [module docs](self) for the full contract.
-pub fn recheck_lhs_keys<K: AsRef<[ValueId]>>(
-    cfd: &Cfd,
-    rel: &Relation,
-    index: &Index,
-    keys: &[K],
-    scratch: &mut RecheckScratch,
-) -> Vec<ViolationWitness> {
-    debug_assert!(
-        !cfd.has_dont_care(),
-        "recheck groups by the full LHS; don't-care tableaux need Cfd::violations"
-    );
-    debug_assert_eq!(
-        index.attrs(),
-        cfd.lhs(),
-        "the index must cover the CFD's LHS attributes in order"
-    );
-    let mut out = Vec::new();
-    if keys.is_empty() {
-        return out;
+/// Re-checks a batch of `GROUP BY X` groups of `cfd` (keys in `cfd.lhs()`
+/// order) through one evaluator; see the [module docs](self) for the
+/// contract.
+pub fn recheck_lhs_keys<'a, K: AsRef<[ValueId]>>(
+    cfd: &'a Cfd,
+    rel: &'a Relation,
+    index: &'a Index,
+    keys: &'a [K],
+) -> Option<impl Iterator<Item = ViolationWitness> + 'a> {
+    if cfd.has_dont_care() || index.attrs() != cfd.lhs() {
+        return None;
     }
-    let rhs_cols = rel.columns_for(cfd.rhs());
-    for key in keys {
-        let key = key.as_ref();
-        let posting = index.lookup_ids(key);
-        if posting.is_empty() {
-            continue;
-        }
-        // Index posting lists can lose row order across remove/insert
-        // cycles; witnesses carry sorted rows (matching Cfd::violations).
-        scratch.rows.clear();
-        scratch.rows.extend_from_slice(posting);
-        scratch.rows.sort_unstable();
-        let rows = &scratch.rows;
-        let group_start = out.len();
-
-        // The multi-tuple verdict does not depend on the pattern (only its
-        // emission does): one block-chunked column-major pass against the
-        // first row's Y representative decides it for every pattern, with no
-        // per-row Y projection materialized.
-        let first = rows[0];
-        let mut multi = false;
-        'scan: for chunk in rows[1..].chunks(BLOCK) {
-            for &row in chunk {
-                if !rhs_cols.iter().all(|col| col[row] == col[first]) {
-                    multi = true;
-                    break 'scan;
-                }
-            }
-        }
-
-        for (pattern_idx, pattern) in cfd.tableau().iter().enumerate() {
-            if !pattern.lhs_matches_ids(key) {
-                continue;
-            }
-            for chunk in rows.chunks(BLOCK) {
-                for &row in chunk {
-                    let clean = pattern
-                        .rhs()
-                        .iter()
-                        .zip(&rhs_cols)
-                        .all(|(cell, col)| cell.matches_id(col[row]));
-                    if !clean {
-                        out.push(ViolationWitness {
-                            pattern_index: pattern_idx,
-                            kind: ViolationKind::SingleTuple,
-                            rows: vec![row],
-                        });
-                    }
-                }
-            }
-            if multi {
-                out.push(ViolationWitness {
-                    pattern_index: pattern_idx,
-                    kind: ViolationKind::MultiTuple,
-                    rows: rows.clone(),
-                });
-            }
-        }
-        out[group_start..].sort_by(ViolationWitness::deterministic_cmp);
-    }
-    out
+    let mut eval = GroupEval::new(cfd, rel);
+    Some(keys.iter().flat_map(move |key| {
+        let (key, mut out) = (key.as_ref(), Vec::new());
+        eval.witnesses(key, index.lookup_ids(key), &mut out);
+        out
+    }))
 }
 
 #[cfg(test)]
@@ -176,6 +66,19 @@ mod tests {
     use cfd_relation::Value;
     use std::collections::BTreeSet;
 
+    fn one(cfd: &Cfd, rel: &Relation, index: &Index, key: &[ValueId]) -> Vec<ViolationWitness> {
+        recheck_lhs_key(cfd, rel, index, key).unwrap()
+    }
+
+    fn many(
+        cfd: &Cfd,
+        rel: &Relation,
+        index: &Index,
+        keys: &[Vec<ValueId>],
+    ) -> Vec<ViolationWitness> {
+        recheck_lhs_keys(cfd, rel, index, keys).unwrap().collect()
+    }
+
     /// Rechecking every group of an instance must reproduce Cfd::violations
     /// exactly (same witnesses, same per-group order).
     fn assert_recheck_covers_full_detection(cfd: &Cfd, rel: &Relation, label: &str) {
@@ -186,7 +89,7 @@ mod tests {
         }
         let mut rechecked: Vec<ViolationWitness> = keys
             .iter()
-            .flat_map(|key| recheck_lhs_key(cfd, rel, &index, key))
+            .flat_map(|key| one(cfd, rel, &index, key))
             .collect();
         rechecked.sort_by(ViolationWitness::deterministic_cmp);
         assert_eq!(rechecked, cfd.violations(rel), "{label}");
@@ -229,18 +132,18 @@ mod tests {
             .iter()
             .map(|s| ValueId::of(&Value::from(*s)))
             .collect();
-        assert!(recheck_lhs_key(&cfd, &rel, &index, &clean_key).is_empty());
+        assert!(one(&cfd, &rel, &index, &clean_key).is_empty());
         // A key no row carries.
         let absent: Vec<ValueId> = ["99", "999", "0000000"]
             .iter()
             .map(|s| ValueId::of(&Value::from(*s)))
             .collect();
-        assert!(recheck_lhs_key(&cfd, &rel, &index, &absent).is_empty());
+        assert!(one(&cfd, &rel, &index, &absent).is_empty());
     }
 
     /// The batched form must be byte-identical to flat-mapping the one-key
-    /// form over the same key list — including witness order — with one
-    /// scratch reused across the whole batch.
+    /// form over the same key list — including witness order — however the
+    /// list is cut into batches (the parallel repair engine's fan-out).
     #[test]
     fn batched_recheck_equals_the_per_key_loop() {
         let noisy = TaxGenerator::new(TaxConfig {
@@ -261,17 +164,15 @@ mod tests {
             let keys: Vec<Vec<ValueId>> = keys.into_iter().collect();
             let looped: Vec<ViolationWitness> = keys
                 .iter()
-                .flat_map(|key| recheck_lhs_key(&cfd, &noisy, &index, key))
+                .flat_map(|key| one(&cfd, &noisy, &index, key))
                 .collect();
-            let mut scratch = RecheckScratch::new();
-            let batched = recheck_lhs_keys(&cfd, &noisy, &index, &keys, &mut scratch);
+            let batched = many(&cfd, &noisy, &index, &keys);
             assert_eq!(batched, looped, "{fd:?}: whole-key-space batch");
-            // Arbitrary sub-batches through the same scratch agree too.
             let mut chunked = Vec::new();
             for chunk in keys.chunks(7) {
-                chunked.extend(recheck_lhs_keys(&cfd, &noisy, &index, chunk, &mut scratch));
+                chunked.extend(many(&cfd, &noisy, &index, chunk));
             }
-            assert_eq!(chunked, looped, "{fd:?}: chunked batches, reused scratch");
+            assert_eq!(chunked, looped, "{fd:?}: chunked batches");
         }
     }
 
@@ -295,16 +196,9 @@ mod tests {
             .map(|s| ValueId::of(&Value::from(*s)))
             .collect();
         let batch = [clean.clone(), dirty.clone(), absent.clone()];
-        let got = recheck_lhs_keys(&cfd, &rel, &index, &batch, &mut RecheckScratch::new());
-        assert_eq!(got, recheck_lhs_key(&cfd, &rel, &index, &dirty));
-        assert!(recheck_lhs_keys(
-            &cfd,
-            &rel,
-            &index,
-            &[clean, absent],
-            &mut RecheckScratch::new()
-        )
-        .is_empty());
+        let got = many(&cfd, &rel, &index, &batch);
+        assert_eq!(got, one(&cfd, &rel, &index, &dirty));
+        assert!(many(&cfd, &rel, &index, &[clean, absent]).is_empty());
     }
 
     #[test]
@@ -318,7 +212,7 @@ mod tests {
             .iter()
             .map(|s| ValueId::of(&Value::from(*s)))
             .collect();
-        let before = recheck_lhs_key(&cfd, &rel, &index, &key);
+        let before = one(&cfd, &rel, &index, &key);
         assert_eq!(before.len(), 2, "t1 and t2 both violate the 908 pattern");
 
         let ct = rel.schema().resolve("CT").unwrap();
@@ -331,6 +225,6 @@ mod tests {
             index.remove_row(row, &old);
             index.insert_row(row, &new);
         }
-        assert!(recheck_lhs_key(&cfd, &rel, &index, &key).is_empty());
+        assert!(one(&cfd, &rel, &index, &key).is_empty());
     }
 }

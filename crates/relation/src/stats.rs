@@ -144,18 +144,6 @@ pub struct GroupStats {
     pub exact: bool,
 }
 
-impl GroupStats {
-    /// Mean rows per group — the quantity that decides whether per-group
-    /// work (pattern matching, index iteration) amortizes.
-    pub fn mean_group_size(&self) -> f64 {
-        if self.keys > 0.0 {
-            self.rows as f64 / self.keys
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Lazily-computed, cached statistics over **one** relation snapshot.
 ///
 /// Every accessor takes the relation again because the stats never hold a
@@ -309,7 +297,6 @@ mod tests {
         let g = stats.group_stats(&rel, &[AttrId(0), AttrId(1)]);
         assert!(g.exact);
         assert_eq!(g.keys, 85.0);
-        assert!((g.mean_group_size() - 1000.0 / 85.0).abs() < 1e-9);
     }
 
     #[test]

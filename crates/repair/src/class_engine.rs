@@ -3,14 +3,15 @@
 //!
 //! # Algorithm
 //!
-//! 1. **Seed** — per-CFD LHS [`Index`]es are built once, and one detection
-//!    pass per CFD yields the initial witness set. The pass is group-driven
-//!    ([`cfd_detect::recheck_lhs_key`] over every index key): pattern
-//!    matching on `X` is decided once per *group* instead of once per row,
-//!    so seeding costs `O(|Tp| × #groups + |I|)` rather than the
+//! 1. **Seed** — one [`LhsGroups`] per CFD is built (or adopted from the
+//!    caller's index), and one detection pass per CFD yields the initial
+//!    witness set. The pass is group-driven ([`cfd_detect::recheck_lhs_keys`]
+//!    over every index key; [`cfd_detect::groups`] states how a group is
+//!    evaluated), so seeding costs `O(|Tp| × #groups + |I|)` rather than the
 //!    `O(|Tp| × |I|)` of the row-wise scan — the large-constant-tableau
 //!    workloads of Section 5 have orders of magnitude fewer groups than
-//!    rows. (CFDs with don't-care cells fall back to [`Cfd::violations`].)
+//!    rows. (The re-check refuses CFDs with don't-care cells; they fall
+//!    back to [`Cfd::violations`] whenever one of their groups is dirty.)
 //! 2. **Classes** — every witness contributes its cell obligations
 //!    ([`Cfd::witness_cells`]): multi-tuple witnesses union the involved
 //!    RHS cells into equivalence classes, RHS pattern constants pin classes
@@ -24,40 +25,31 @@
 //!    satisfied by RHS edits (Section 6's motivating observation) — an LHS
 //!    attribute of one involved row is overwritten with a fresh typed
 //!    placeholder instead.
-//! 4. **Incremental re-check** — applying an edit marks only the `GROUP BY
-//!    X` groups it can affect as dirty (the group a row left/joined when an
-//!    LHS attribute changed — tracked through [`Index::remove_row`] /
-//!    [`Index::insert_row`] — or the row's current group when an RHS
-//!    attribute changed). The next round re-detects **only those groups**
-//!    via [`cfd_detect::recheck_lhs_key`]; nothing is ever re-scanned from
-//!    scratch. A round whose exact witness signature was already seen is a
-//!    proven cross-CFD oscillation and forces one LHS edit. Rounds continue
-//!    until no witnesses remain, only unsatisfiable work is left with LHS
-//!    edits disabled, or the round budget is exhausted.
+//! 4. **Incremental re-check** — applying an edit goes through
+//!    [`LhsGroups::edit_cell`], which dirties only the `GROUP BY X` groups
+//!    it can affect. The next round drains and re-detects **only those
+//!    groups** via [`cfd_detect::recheck_lhs_keys`]; nothing is ever
+//!    re-scanned from scratch. A round whose exact witness signature was
+//!    already seen is a proven cross-CFD oscillation and forces one LHS
+//!    edit. Rounds continue until no witnesses remain, only unsatisfiable
+//!    work is left with LHS edits disabled, or the round budget is
+//!    exhausted.
 //!
 //! # Determinism
 //!
 //! Witnesses are processed in the sorted order [`Cfd::violations`] /
-//! [`cfd_detect::recheck_lhs_key`] guarantee, dirty keys live in `BTreeSet`s,
+//! [`cfd_detect::recheck_lhs_keys`] guarantee, dirty keys drain sorted,
 //! classes finalize sorted, and target ties break on resolved values — no
 //! hash-map iteration order or interner id numbering influences any choice,
 //! so identical inputs produce identical modification sequences.
 //!
 //! # Parallelism
 //!
-//! Planning fans out over **connected components** of the cell-equivalence
-//! graph (contiguous chunks of the canonical order), and seeding /
-//! dirty-group re-checking / the final satisfaction sweep fan out over
-//! sorted key batches via [`cfd_detect::recheck_lhs_keys`] — all on scoped
-//! worker threads budgeted by [`RepairConfig::threads`] and clamped by the
-//! spawn-amortization rule shared with the detection planner. The apply
-//! phase stays a sequential single-writer merge. Results are byte-identical
-//! at any thread count; [`crate::parallel`] states the full argument.
-//!
-//! CFDs whose tableaux contain the don't-care symbol `@` (merged tableaux)
-//! group by effective attribute subsets that a full-LHS index cannot
-//! reproduce; such CFDs are handled soundly by falling back to a full
-//! [`Cfd::violations`] scan whenever an edit touches their scope.
+//! Planning fans out over connected components of the cell-equivalence
+//! graph, and seeding / dirty-group re-checking / the final satisfaction
+//! sweep over sorted key batches; the apply phase stays a sequential
+//! single-writer merge. Results are byte-identical at any thread count —
+//! [`crate::parallel`] states the budget rule and the full argument.
 
 use crate::classes::CellClasses;
 use crate::parallel::{self, ParallelCtx};
@@ -65,28 +57,25 @@ use crate::repair::{
     lhs_edit_attr, mint_placeholder_for, Modification, RepairConfig, RepairResult,
 };
 use cfd_core::{Cfd, ViolationWitness};
-use cfd_relation::{project_attrs, AttrId, Index, Relation, RelationStats, ValueId};
+use cfd_detect::LhsGroups;
+use cfd_relation::{AttrId, Index, Relation, ValueId};
 use std::collections::{BTreeSet, HashSet};
 
-/// Entry point: repairs `rel` w.r.t. `cfds` under `config`.
-pub(crate) fn repair(cfds: &[Cfd], rel: &Relation, config: &RepairConfig) -> RepairResult {
-    Engine::new(cfds, rel, config, None).run()
-}
-
-/// Entry point with **prebuilt** per-CFD LHS indexes (one slot per CFD, in
-/// CFD order; `None` slots — and don't-care CFDs, whose slot is ignored —
-/// fall back to the engine's own handling). Each supplied index must cover
-/// its CFD's LHS attributes in order and be in sync with `rel`; the engine
-/// takes them over and maintains them across its edits. Results are
-/// byte-identical to [`repair`] — seeding visits index keys in sorted order,
+/// Entry point: repairs `rel` w.r.t. `cfds` under `config`, adopting the
+/// **prebuilt** per-CFD LHS `indexes` (one slot per CFD, in CFD order; the
+/// engine indexes the instance itself for a missing or `None` slot). Each
+/// supplied index must cover its CFD's LHS attributes in order (one that
+/// does not is rebuilt) and be in sync with `rel`; the engine
+/// takes them over and maintains them across its edits. Results do not
+/// depend on what is supplied — seeding visits index keys in sorted order,
 /// so index provenance never influences a choice.
-pub(crate) fn repair_with_indexes(
+pub(crate) fn repair(
     cfds: &[Cfd],
     rel: &Relation,
     config: &RepairConfig,
     indexes: Vec<Option<Index>>,
 ) -> RepairResult {
-    Engine::new(cfds, rel, config, Some(indexes)).run()
+    Engine::new(cfds, rel, config, indexes).run()
 }
 
 /// One witness's identity within a round signature:
@@ -97,14 +86,9 @@ struct Engine<'a> {
     cfds: &'a [Cfd],
     config: &'a RepairConfig,
     rel: Relation,
-    /// Whether CFD `i` supports keyed re-checking (no don't-care cells).
-    keyed: Vec<bool>,
-    /// Per-CFD LHS index (only for keyed CFDs), maintained across edits.
-    indexes: Vec<Option<Index>>,
-    /// Per-CFD dirty LHS keys accumulated since the last re-check.
-    dirty: Vec<BTreeSet<Vec<ValueId>>>,
-    /// Per-CFD "needs a full re-scan" flag (don't-care CFDs only).
-    scan_all: Vec<bool>,
+    /// Per-CFD maintained LHS groups: the index and the keys dirtied since
+    /// the last re-check.
+    groups: Vec<LhsGroups>,
     modifications: Vec<Modification>,
     /// Run-scoped placeholder candidate number (reproducibility across
     /// runs — see [`mint_placeholder_for`]).
@@ -112,11 +96,6 @@ struct Engine<'a> {
     /// Per-phase spawn decisions (thread budget + amortization clamps) of
     /// the component-parallel paths — see [`crate::parallel`].
     ctx: ParallelCtx,
-    /// Seed-time mean `GROUP BY X` group size per keyed CFD (from the
-    /// [`RelationStats`] sketch), sizing the dirty-recheck fan-out: a dirty
-    /// round's work is roughly `#dirty keys × mean group size`. Estimates
-    /// only steer spawn decisions, never results.
-    mean_rows: Vec<f64>,
 }
 
 impl<'a> Engine<'a> {
@@ -124,84 +103,26 @@ impl<'a> Engine<'a> {
         cfds: &'a [Cfd],
         rel: &Relation,
         config: &'a RepairConfig,
-        prebuilt: Option<Vec<Option<Index>>>,
+        mut prebuilt: Vec<Option<Index>>,
     ) -> Self {
         let rel = rel.clone();
-        let keyed: Vec<bool> = cfds.iter().map(|c| !c.has_dont_care()).collect();
-        let mut prebuilt = prebuilt
-            .map(|v| {
-                debug_assert_eq!(v.len(), cfds.len(), "one index slot per CFD");
-                v.into_iter().map(Some).collect::<Vec<_>>()
-            })
-            .unwrap_or_else(|| vec![None; cfds.len()]);
+        prebuilt.resize(cfds.len(), None);
         let ctx = ParallelCtx::new(config.threads, rel.len(), config.force_parallel);
-        let mut indexes: Vec<Option<Index>> = cfds
-            .iter()
-            .zip(&keyed)
-            .enumerate()
-            .map(|(i, (c, &k))| {
-                if !k {
-                    return None;
-                }
-                let index = prebuilt.get_mut(i).and_then(Option::take).flatten()?;
-                debug_assert_eq!(
-                    index.attrs(),
-                    c.lhs(),
-                    "prebuilt index must cover the CFD's LHS in order"
-                );
-                Some(index)
-            })
-            .collect();
-        // Build the missing keyed indexes — in parallel when the instance
-        // warrants it (builds are independent; provenance never influences
-        // repair choices, since seeding visits keys in sorted order).
-        let pending: Vec<Option<&[AttrId]>> = cfds
-            .iter()
-            .zip(&keyed)
-            .zip(&indexes)
-            .map(|((c, &k), slot)| (k && slot.is_none()).then(|| c.lhs()))
-            .collect();
-        for (slot, built) in indexes
-            .iter_mut()
-            .zip(parallel::build_indexes(&rel, pending, ctx))
-        {
-            if slot.is_none() {
-                *slot = built;
-            }
-        }
-        let mean_rows: Vec<f64> = if ctx.budget > 1 {
-            let mut stats = RelationStats::new(&rel);
-            cfds.iter()
-                .zip(&keyed)
-                .map(|(c, &k)| {
-                    if k {
-                        stats.group_stats(&rel, c.lhs()).mean_group_size()
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        } else {
-            vec![0.0; cfds.len()]
-        };
+        let groups = parallel::build_groups(&rel, cfds, prebuilt, ctx);
         Engine {
             cfds,
             config,
             rel,
-            keyed,
-            indexes,
-            dirty: vec![BTreeSet::new(); cfds.len()],
-            scan_all: vec![false; cfds.len()],
+            groups,
             modifications: Vec::new(),
             placeholder_counter: 0,
             ctx,
-            mean_rows,
         }
     }
 
     fn run(mut self) -> RepairResult {
         // Seed the dirty set from one (group-driven) detection pass.
-        let mut witnesses = self.seed_witnesses();
+        let mut witnesses = self.sweep(usize::MAX);
 
         let mut rounds = 0usize;
         // Witness signatures of every round seen so far: a round whose exact
@@ -300,7 +221,8 @@ impl<'a> Engine<'a> {
             witnesses = self.collect_dirty_witnesses();
         }
 
-        let satisfied = self.is_clean();
+        // Full-semantics satisfaction check, priced like the seed pass.
+        let satisfied = self.sweep(1).is_empty();
         let config = self.config;
         let Engine {
             rel, modifications, ..
@@ -308,88 +230,66 @@ impl<'a> Engine<'a> {
         RepairResult::finish(rel, modifications, rounds, satisfied, &config.cost_model)
     }
 
-    /// One full detection pass, group-driven through the LHS indexes where
-    /// possible (see the [module docs](self)); don't-care CFDs take the
-    /// row-wise scan. Keys are visited in sorted order, so the seed witness
-    /// list is deterministic.
-    fn seed_witnesses(&self) -> Vec<(usize, ViolationWitness)> {
+    /// One full detection pass — every group of every CFD in sorted key
+    /// order (see the [module docs](self) for its cost) — stopping each
+    /// worker at `at_most` witnesses.
+    fn sweep(&self, at_most: usize) -> Vec<(usize, ViolationWitness)> {
         let mut out = Vec::new();
-        for (cfd_idx, cfd) in self.cfds.iter().enumerate() {
-            match &self.indexes[cfd_idx] {
-                Some(index) => {
-                    let mut keys: Vec<&[ValueId]> =
-                        index.iter().map(|(k, _)| k.as_slice()).collect();
-                    keys.sort_unstable();
-                    let workers = self.ctx.workers_for(self.rel.len(), keys.len());
-                    out.extend(
-                        parallel::recheck_keys_sharded(cfd, &self.rel, index, &keys, workers)
-                            .into_iter()
-                            .map(|w| (cfd_idx, w)),
-                    );
-                }
-                None => out.extend(cfd.violations(&self.rel).into_iter().map(|w| (cfd_idx, w))),
-            }
+        for (cfd_idx, groups) in self.groups.iter().enumerate() {
+            let keys = groups.index().iter().map(|(key, _)| key.as_slice());
+            let mut keys: Vec<&[ValueId]> = keys.collect();
+            keys.sort_unstable();
+            self.recheck(cfd_idx, &keys, at_most, &mut out);
         }
         out
     }
 
-    /// Full-semantics satisfaction check, priced like the seed pass: every
-    /// group of every keyed CFD is re-checked through its index (equivalent
-    /// to `Cfd::satisfied_by`, proven by the recheck coverage tests);
-    /// don't-care CFDs use the row-wise check.
-    fn is_clean(&self) -> bool {
-        self.cfds
-            .iter()
-            .enumerate()
-            .all(|(cfd_idx, cfd)| match &self.indexes[cfd_idx] {
-                Some(index) => {
-                    let workers = self.ctx.workers_for(self.rel.len(), index.distinct_keys());
-                    parallel::all_groups_clean(cfd, &self.rel, index, workers)
-                }
-                None => cfd.satisfied_by(&self.rel),
-            })
+    /// Re-checks the groups `keys` (sorted) of CFD `cfd_idx` into `out`. The
+    /// fan-out is sized by the work at hand, `#keys × mean group size` (it
+    /// steers spawn decisions, never results).
+    fn recheck(
+        &self,
+        cfd_idx: usize,
+        keys: &[&[ValueId]],
+        at_most: usize,
+        out: &mut Vec<(usize, ViolationWitness)>,
+    ) {
+        if keys.is_empty() {
+            return;
+        }
+        let (cfd, index) = (&self.cfds[cfd_idx], self.groups[cfd_idx].index());
+        let units = keys.len() * self.rel.len() / index.distinct_keys().max(1);
+        let workers = self.ctx.workers_for(units, keys.len());
+        // A don't-care CFD takes the oracle scan, with the oracle's own early
+        // exit when one witness is all that is asked for.
+        let scan = || match at_most {
+            1 => cfd.first_violation(&self.rel).into_iter().collect(),
+            _ => cfd.violations(&self.rel),
+        };
+        let found = parallel::recheck_keys_sharded(cfd, &self.rel, index, keys, workers, at_most)
+            .unwrap_or_else(scan);
+        out.extend(found.into_iter().map(|w| (cfd_idx, w)));
     }
 
-    /// Applies one cell edit: updates the relation, the per-CFD LHS indexes,
-    /// the dirty-key sets and the modification log.
+    /// Applies one cell edit: updates the relation, the per-CFD LHS groups
+    /// (which record the keys the edit dirties) and the modification log.
     fn apply_edit(&mut self, row: usize, attr: AttrId, new_id: ValueId) {
-        // wslint: allow(panic_path, "edits target rows of this same relation; planner never emits an out-of-range row")
-        let old_cells: Vec<ValueId> = self.rel.row(row).expect("edit row in range").to_ids();
+        let Some(old_cells) = self.rel.row(row).map(|r| r.to_ids()) else {
+            return;
+        };
         let old_id = old_cells[attr.index()];
         if old_id == new_id {
             return;
         }
         self.rel.set_id(row, attr, new_id);
-        let mut new_cells = old_cells.clone();
-        new_cells[attr.index()] = new_id;
         self.modifications.push(Modification {
             row,
             attr,
             old: old_id.resolve().clone(),
             new: new_id.resolve().clone(),
         });
-
-        for (cfd_idx, cfd) in self.cfds.iter().enumerate() {
-            let in_lhs = cfd.lhs().contains(&attr);
-            let in_rhs = cfd.rhs().contains(&attr);
-            if !in_lhs && !in_rhs {
-                continue;
-            }
-            if !self.keyed[cfd_idx] {
-                self.scan_all[cfd_idx] = true;
-                continue;
-            }
-            if in_lhs {
-                let index = self.indexes[cfd_idx]
-                    .as_mut()
-                    // wslint: allow(panic_path, "self.keyed[cfd_idx] was checked; keyed CFDs always carry an index")
-                    .expect("keyed CFDs carry an index");
-                index.remove_row(row, &old_cells);
-                index.insert_row(row, &new_cells);
-                self.dirty[cfd_idx].insert(project_attrs(&old_cells, cfd.lhs()));
-            }
-            // The row's current group needs a re-check in both cases.
-            self.dirty[cfd_idx].insert(project_attrs(&new_cells, cfd.lhs()));
+        for groups in &mut self.groups {
+            groups.edit_cell(row, &old_cells, attr, new_id);
         }
     }
 
@@ -397,43 +297,22 @@ impl<'a> Engine<'a> {
     /// re-checking — used for the rows of conflicted classes, whose
     /// obligations were deliberately left unresolved this round.
     fn dirty_row_groups(&mut self, row: usize) {
-        // wslint: allow(panic_path, "rows come from this engine's own conflict bookkeeping, always in range")
-        let cells: Vec<ValueId> = self.rel.row(row).expect("row in range").to_ids();
-        for (cfd_idx, cfd) in self.cfds.iter().enumerate() {
-            if !self.keyed[cfd_idx] {
-                self.scan_all[cfd_idx] = true;
-                continue;
-            }
-            self.dirty[cfd_idx].insert(project_attrs(&cells, cfd.lhs()));
+        let Some(cells) = self.rel.row(row).map(|r| r.to_ids()) else {
+            return;
+        };
+        for groups in &mut self.groups {
+            groups.mark(&cells);
         }
     }
 
-    /// Drains the dirty sets into the next round's witnesses: keyed CFDs
-    /// re-check only their dirty groups, don't-care CFDs re-scan when
-    /// touched.
+    /// Drains the dirty sets into the next round's witnesses: only the
+    /// dirtied groups are re-checked, in the sorted order they drain in.
     fn collect_dirty_witnesses(&mut self) -> Vec<(usize, ViolationWitness)> {
         let mut out = Vec::new();
-        for (cfd_idx, cfd) in self.cfds.iter().enumerate() {
-            if std::mem::take(&mut self.scan_all[cfd_idx]) {
-                out.extend(cfd.violations(&self.rel).into_iter().map(|w| (cfd_idx, w)));
-                continue;
-            }
-            let keys = std::mem::take(&mut self.dirty[cfd_idx]);
-            let index = match &self.indexes[cfd_idx] {
-                Some(index) => index,
-                None => continue,
-            };
-            // `BTreeSet` iteration is sorted, so the batch visits keys in
-            // the order the per-key loop used to; the re-check fan-out is
-            // sized by the seed-time mean group size.
-            let key_refs: Vec<&[ValueId]> = keys.iter().map(|k| k.as_slice()).collect();
-            let units = (key_refs.len() as f64 * self.mean_rows[cfd_idx]).ceil() as usize;
-            let workers = self.ctx.workers_for(units, key_refs.len());
-            out.extend(
-                parallel::recheck_keys_sharded(cfd, &self.rel, index, &key_refs, workers)
-                    .into_iter()
-                    .map(|w| (cfd_idx, w)),
-            );
+        for cfd_idx in 0..self.cfds.len() {
+            let keys = self.groups[cfd_idx].drain_dirty();
+            let keys: Vec<&[ValueId]> = keys.iter().map(Vec::as_slice).collect();
+            self.recheck(cfd_idx, &keys, usize::MAX, &mut out);
         }
         out
     }

@@ -49,15 +49,15 @@
 //! the clamp (`RepairConfig::force_parallel`) so byte-identity is exercised
 //! on small instances too.
 //!
-//! Workers hold their own [`TargetScratch`] / [`RecheckScratch`] arenas:
-//! steady-state planning and re-checking allocate nothing per class or per
-//! group beyond the result vectors, mirroring the kernels-crate arena
-//! discipline.
+//! Planning workers hold their own [`TargetScratch`] arena and every
+//! re-check chunk its own group evaluator: steady-state planning and
+//! re-checking allocate nothing per class or per group beyond the result
+//! vectors, mirroring the kernels-crate arena discipline.
 
 use crate::classes::{CellClass, Components};
 use crate::cost::{CostModel, TargetScratch};
 use cfd_core::{Cfd, ViolationWitness};
-use cfd_detect::{recheck_lhs_keys, RecheckScratch, MIN_ROWS_PER_WORKER};
+use cfd_detect::{recheck_lhs_keys, LhsGroups, MIN_ROWS_PER_WORKER};
 use cfd_relation::{AttrId, Index, Relation, ValueId};
 
 /// How many scan-grade work units one class-member cell is worth when
@@ -160,31 +160,35 @@ pub(crate) fn plan_components(
     components: &Components,
     workers: usize,
 ) -> PlanOutput {
+    let plan = |chunk: &[CellClass]| {
+        let mut out = PlanOutput::default();
+        plan_chunk(rel, model, chunk, &mut TargetScratch::new(), &mut out);
+        out
+    };
     let chunks = components.chunks(workers);
     if chunks.len() < 2 {
-        let mut out = PlanOutput::default();
-        let mut scratch = TargetScratch::new();
-        plan_chunk(rel, model, components.classes(), &mut scratch, &mut out);
-        return out;
+        return plan(components.classes());
     }
-    let parts: Vec<PlanOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut out = PlanOutput::default();
-                    let mut scratch = TargetScratch::new();
-                    plan_chunk(rel, model, chunk, &mut scratch, &mut out);
-                    out
-                })
-            })
-            .collect();
-        handles
+    PlanOutput::merge(scoped_map(chunks, plan))
+}
+
+/// Runs `work` over every item on its own scoped thread and returns the
+/// results in item order; a worker's panic resumes on the caller.
+fn scoped_map<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = items
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    PlanOutput::merge(parts)
+            .map(|item| scope.spawn(move || work(item)))
+            .collect();
+        let join = |h: std::thread::ScopedJoinHandle<'_, R>| {
+            h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+        };
+        handles.into_iter().map(join).collect()
+    })
 }
 
 /// The sequential class loop over one contiguous chunk of the canonical
@@ -228,105 +232,62 @@ fn plan_chunk(
     }
 }
 
-/// Re-checks a sorted batch of LHS keys, fanned out over `workers` scoped
-/// threads when the batch warrants it. Keys are split into contiguous
-/// chunks; each worker drives [`cfd_detect::recheck_lhs_keys`] with its own
-/// [`RecheckScratch`], and the per-chunk witness lists are concatenated in
-/// chunk order — identical to the sequential key-by-key sweep because the
-/// batched recheck preserves key order and sorts witnesses within each
-/// group.
+/// Re-checks a batch of LHS keys, fanned out over `workers` scoped threads
+/// when the batch warrants it. Keys are split into contiguous chunks, each
+/// worker drives [`cfd_detect::recheck_lhs_keys`] over its chunk until it
+/// holds `at_most` witnesses, and the per-chunk witness lists are
+/// concatenated in chunk order — identical to the sequential sweep because
+/// the re-check preserves key order and sorts witnesses within each group.
+/// The engine's satisfaction sweep is the same call with `at_most == 1`:
+/// every worker stops at its first witness, clean iff nothing comes back.
+/// `None` for a don't-care CFD, which takes the scan.
 pub(crate) fn recheck_keys_sharded(
     cfd: &Cfd,
     rel: &Relation,
     index: &Index,
     keys: &[&[ValueId]],
     workers: usize,
-) -> Vec<ViolationWitness> {
+    at_most: usize,
+) -> Option<Vec<ViolationWitness>> {
+    let recheck = |chunk| {
+        let found = recheck_lhs_keys(cfd, rel, index, chunk)?;
+        Some(found.take(at_most).collect::<Vec<_>>())
+    };
     if workers < 2 || keys.len() < 2 {
-        return recheck_lhs_keys(cfd, rel, index, keys, &mut RecheckScratch::new());
+        return recheck(keys);
     }
-    let chunk_size = keys.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = keys
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    recheck_lhs_keys(cfd, rel, index, chunk, &mut RecheckScratch::new())
-                })
-            })
-            .collect();
-        let mut out = Vec::new();
-        for handle in handles {
-            out.extend(
-                handle
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
-        }
-        out
-    })
+    let chunks = keys.chunks(keys.len().div_ceil(workers));
+    let parts: Option<Vec<_>> = scoped_map(chunks, recheck).into_iter().collect();
+    Some(parts?.into_iter().flatten().collect())
 }
 
-/// Whether every group of `index` satisfies `cfd` — the parallel form of
-/// the engine's satisfaction sweep. Order-independent (a conjunction), so
-/// the keys are taken in index-iteration order; each worker early-exits on
-/// its first violating group.
-pub(crate) fn all_groups_clean(cfd: &Cfd, rel: &Relation, index: &Index, workers: usize) -> bool {
-    let keys: Vec<&[ValueId]> = index.iter().map(|(k, _)| k.as_slice()).collect();
-    if workers < 2 || keys.len() < 2 {
-        let mut scratch = RecheckScratch::new();
-        return keys
-            .iter()
-            .all(|&key| recheck_lhs_keys(cfd, rel, index, &[key], &mut scratch).is_empty());
-    }
-    let chunk_size = keys.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = keys
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = RecheckScratch::new();
-                    chunk.iter().all(|&key| {
-                        recheck_lhs_keys(cfd, rel, index, &[key], &mut scratch).is_empty()
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .all(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-    })
-}
-
-/// Builds the missing per-CFD LHS indexes, in parallel when the instance
-/// and budget warrant it. `slots[i]` is `Some(lhs)` when CFD `i` still
-/// needs an index over those attributes; the result carries the built
-/// index in the same slot. Builds are independent per CFD, and index
-/// provenance never influences repair choices (seeding visits keys in
+/// Builds the per-CFD [`LhsGroups`], adopting the `prebuilt` index of a slot
+/// where it fits and indexing the instance for the others — in parallel when
+/// the instance and budget warrant it. Builds are independent per CFD, and
+/// index provenance never influences repair choices (seeding visits keys in
 /// sorted order), so this fan-out needs no ordering argument at all.
-pub(crate) fn build_indexes(
+pub(crate) fn build_groups(
     rel: &Relation,
-    slots: Vec<Option<&[AttrId]>>,
+    cfds: &[Cfd],
+    prebuilt: Vec<Option<Index>>,
     ctx: ParallelCtx,
-) -> Vec<Option<Index>> {
-    let pending = slots.iter().filter(|s| s.is_some()).count();
-    let workers = ctx.workers_for(rel.len().saturating_mul(pending), pending);
-    if workers < 2 {
-        return slots
-            .into_iter()
-            .map(|slot| slot.map(|lhs| rel.build_index(lhs)))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = slots
-            .into_iter()
-            .map(|slot| slot.map(|lhs| scope.spawn(move || rel.build_index(lhs))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))))
-            .collect()
-    })
+) -> Vec<LhsGroups> {
+    let adopt = |(cfd, index): (&Cfd, Option<Index>)| LhsGroups::over(cfd, index?);
+    let adopted: Vec<Option<LhsGroups>> = cfds.iter().zip(prebuilt).map(adopt).collect();
+    let unserved = cfds.iter().zip(&adopted).filter(|(_, slot)| slot.is_none());
+    let pending: Vec<&Cfd> = unserved.map(|(cfd, _)| cfd).collect();
+    let workers = ctx.workers_for(rel.len().saturating_mul(pending.len()), pending.len());
+    let build = |cfd| LhsGroups::build(cfd, rel);
+    let built: Vec<LhsGroups> = if workers < 2 {
+        pending.into_iter().map(build).collect()
+    } else {
+        scoped_map(pending, build)
+    };
+    let mut built = built.into_iter();
+    let filled = adopted
+        .into_iter()
+        .map(|slot| slot.or_else(|| built.next()));
+    filled.flatten().collect()
 }
 
 #[cfg(test)]

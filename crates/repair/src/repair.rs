@@ -300,10 +300,7 @@ impl Repairer {
     /// The input CFD set should be consistent (an inconsistent set admits no
     /// repair; the result will report `satisfied == false`).
     pub fn repair(&self, cfds: &[Cfd], rel: &Relation) -> RepairResult {
-        match self.config.kind {
-            RepairKind::Heuristic => self.repair_heuristic(cfds, rel),
-            RepairKind::EquivClass => class_engine::repair(cfds, rel, &self.config),
-        }
+        self.repair_with_indexes(cfds, rel, Vec::new())
     }
 
     /// Like [`Repairer::repair`], but handing the equivalence-class engine
@@ -324,9 +321,7 @@ impl Repairer {
     ) -> RepairResult {
         match self.config.kind {
             RepairKind::Heuristic => self.repair_heuristic(cfds, rel),
-            RepairKind::EquivClass => {
-                class_engine::repair_with_indexes(cfds, rel, &self.config, indexes)
-            }
+            RepairKind::EquivClass => class_engine::repair(cfds, rel, &self.config, indexes),
         }
     }
 

@@ -241,9 +241,7 @@ impl ColumnStore {
     pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<()> {
         let mut store_ops = Vec::with_capacity(ops.len());
         for op in ops {
-            let tuple = match op {
-                BatchOp::Insert(t) | BatchOp::Delete(t) => t,
-            };
+            let tuple = op.tuple();
             // Same error the in-memory stream path raises, so a session is
             // backend-transparent even in how it rejects a malformed batch.
             if tuple.arity() != self.arity {

@@ -56,9 +56,8 @@ pub const HASH_ITERATION: RuleInfo = RuleInfo {
 
 /// `panic_path` (L3): `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
 /// `unimplemented!` in non-test code of the request-serving crates
-/// (the root facade, `serve`, `detect`, `repair`, `relation`, `sqlgen`,
-/// `store`). Request paths
-/// return typed errors; a panic is at best a contained
+/// (the root facade, `core`, `serve`, `detect`, `repair`, `relation`,
+/// `sqlgen`, `store`). Request paths return typed errors; a panic is at best a contained
 /// `Error::WorkerPanicked` and at worst a crashed process.
 pub const PANIC_PATH: RuleInfo = RuleInfo {
     name: "panic_path",
@@ -112,8 +111,9 @@ const HASH_SCOPED: [&str; 3] = [
 
 /// Crates in scope for [`PANIC_PATH`] (their `src/` trees; `src/` is the
 /// root facade).
-const PANIC_SCOPED: [&str; 7] = [
+const PANIC_SCOPED: [&str; 8] = [
     "src/",
+    "crates/core/src/",
     "crates/serve/src/",
     "crates/detect/src/",
     "crates/repair/src/",

@@ -99,7 +99,7 @@ fn rules_fired(f: &FileFindings) -> Vec<&str> {
 #[test]
 fn poison_unwrap_fires_and_respects_sanctioned_modules() {
     let bad = "fn f(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }";
-    let f = lint("crates/core/src/x.rs", bad);
+    let f = lint("crates/datagen/src/x.rs", bad);
     assert_eq!(rules_fired(&f), vec!["poison_unwrap"]);
 
     // Same code in a sanctioned poison-recovery module: no poison_unwrap
@@ -110,14 +110,14 @@ fn poison_unwrap_fires_and_respects_sanctioned_modules() {
 
     // read()/write() immediately expected also fire.
     let f = lint(
-        "crates/core/src/x.rs",
+        "crates/datagen/src/x.rs",
         "fn g(l: &RwLock<u32>) { l.read().expect(\"x\"); l.write().unwrap(); }",
     );
     assert_eq!(rules_fired(&f), vec!["poison_unwrap", "poison_unwrap"]);
 
     // io::Read::read(&mut buf) takes an argument: never flagged.
     let f = lint(
-        "crates/core/src/x.rs",
+        "crates/datagen/src/x.rs",
         "fn h(s: &mut TcpStream, b: &mut [u8]) { s.read(b).unwrap(); }",
     );
     assert!(rules_fired(&f).is_empty());
@@ -165,13 +165,16 @@ fn panic_path_fires_in_request_crates_and_skips_tests() {
         assert_eq!(rules_fired(&f), vec!["panic_path"], "macro {mac}");
     }
 
-    // The root facade is guarded like the crates it fronts.
-    let f = lint("src/x.rs", "fn f(x: Option<u32>) -> u32 { x.unwrap() }");
-    assert_eq!(rules_fired(&f), vec!["panic_path"]);
+    // The root facade and `cfd-core` are guarded like the crates they
+    // front and feed.
+    for path in ["src/x.rs", "crates/core/src/x.rs"] {
+        let f = lint(path, "fn f(x: Option<u32>) -> u32 { x.unwrap() }");
+        assert_eq!(rules_fired(&f), vec!["panic_path"], "{path}");
+    }
 
     // Outside the guarded crates: not this rule's business.
     let f = lint(
-        "crates/core/src/x.rs",
+        "crates/datagen/src/x.rs",
         "fn f(x: Option<u32>) -> u32 { x.unwrap() }",
     );
     assert!(rules_fired(&f).is_empty());

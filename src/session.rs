@@ -6,8 +6,8 @@
 //! * the **current instance** — an in-memory relation, or a disk-backed
 //!   [`ColumnStore`] behind the same API;
 //! * the per-CFD **LHS indexes**, built once per snapshot and *shared*
-//!   between the detector ([`cfd_detect::detect_with_index`]) and the repair
-//!   engine's dirty-group tracking
+//!   between the detector ([`cfd_detect::detect_with_index`]),
+//!   [`Session::explain`] and the repair engine's dirty-group tracking
 //!   ([`Repairer::repair_with_indexes`](cfd_repair::Repairer::repair_with_indexes));
 //! * the **column statistics** and the [`DetectionPlan`] the adaptive
 //!   planner derived from them;
@@ -23,11 +23,11 @@ use crate::engine::Engine;
 use crate::error::{Error, Result};
 use cfd_core::{Cfd, PatternTuple, ViolationKind, ViolationWitness, WitnessCells};
 use cfd_detect::{
-    detect_with_index, BatchOp, DetectionPlan, DetectorKind, DirectDetector, IncrementalDetector,
-    Planner, ShardedDetector, ViolationItem, Violations,
+    detect_with_index, group_witnesses, BatchOp, DetectionPlan, DetectorKind, DirectDetector,
+    IncrementalDetector, Planner, ShardedDetector, ViolationItem, Violations,
 };
 use cfd_relation::{
-    project_cols, AttrId, Index, Relation, RelationStats, Schema, Tuple, Value, ValueId,
+    project_attrs, AttrId, Index, Relation, RelationStats, Schema, Tuple, Value, ValueId,
 };
 use cfd_repair::{RepairKind, RepairResult, Repairer};
 use cfd_store::{ColumnStore, PoolStats};
@@ -563,14 +563,14 @@ impl Session {
     /// without changing the session.
     pub fn preview_insertions(&mut self, batch: &[Tuple]) -> Result<Violations> {
         let stream = self.backing.stream(self.engine.rules().cfds())?;
-        Ok(stream.detect_insertions(batch))
+        Ok(stream.detect_insertions(batch)?)
     }
 
     /// Previews the currently-reported violations that deleting `batch`
     /// (bag semantics) would resolve, without changing the session.
     pub fn preview_deletions(&mut self, batch: &[Tuple]) -> Result<Violations> {
         let stream = self.backing.stream(self.engine.rules().cfds())?;
-        Ok(stream.detect_deletions(batch))
+        Ok(stream.detect_deletions(batch)?)
     }
 
     /// Explains one report finding: which CFDs and pattern tuples it
@@ -606,95 +606,44 @@ impl Session {
     /// deterministic.
     pub fn explain(&mut self, item: &ViolationItem) -> Result<Vec<Explanation>> {
         let engine = &self.engine;
+        let cfds = engine.rules().cfds();
         let snapshot = self.backing.snapshot()?;
-        let indexes = ensure_indexes(&mut self.indexes, engine.rules().cfds(), &snapshot);
+        let indexes = ensure_indexes(&mut self.indexes, cfds, &snapshot);
         // A value never interned cannot occur in any relation: no provenance.
         let ids: Option<Vec<ValueId>> = item.values().iter().map(ValueId::get).collect();
         let Some(ids) = ids else {
             return Ok(Vec::new());
         };
+        let all_attrs: Vec<AttrId> = snapshot.schema().attr_ids().collect();
         let mut out = Vec::new();
-        match item {
-            ViolationItem::Constant(_) => {
-                if ids.len() != snapshot.schema().arity() {
-                    return Ok(Vec::new());
+        for (cfd_index, (cfd, index)) in cfds.iter().zip(indexes).enumerate() {
+            // The attributes the finding spells out, its witness kind, and
+            // the LHS key of the group it lives in under this CFD.
+            let (attrs, kind, key) = match item {
+                ViolationItem::Constant(_) if ids.len() == all_attrs.len() => (
+                    all_attrs.as_slice(),
+                    ViolationKind::SingleTuple,
+                    project_attrs(&ids, cfd.lhs()),
+                ),
+                ViolationItem::MultiTupleKey(_) if ids.len() == cfd.lhs().len() => {
+                    (cfd.lhs(), ViolationKind::MultiTuple, ids.clone())
                 }
-                let cols: Vec<&[ValueId]> = snapshot
-                    .schema()
-                    .attr_ids()
-                    .map(|a| snapshot.column(a))
-                    .collect();
-                let full_match = |i: usize| cols.iter().zip(&ids).all(|(col, id)| col[i] == *id);
-                // Locate the tuple's rows through any shared LHS index: the
-                // tuple fixes its projection onto every CFD's LHS, so one
-                // group lookup narrows the candidates to a single group
-                // instead of scanning the instance (full scan only when no
-                // keyed CFD exists).
-                let keyed = engine
-                    .rules()
-                    .iter()
-                    .zip(indexes)
-                    .find_map(|(cfd, index)| index.as_ref().map(|i| (cfd, i)));
-                let rows: Vec<usize> = match keyed {
-                    Some((cfd, index)) => {
-                        let key: Vec<ValueId> = cfd.lhs().iter().map(|a| ids[a.index()]).collect();
-                        let mut rows: Vec<usize> = index
-                            .lookup_ids(&key)
-                            .iter()
-                            .copied()
-                            .filter(|&i| full_match(i))
-                            .collect();
-                        rows.sort_unstable();
-                        rows
-                    }
-                    None => (0..snapshot.len()).filter(|&i| full_match(i)).collect(),
-                };
-                for (cfd_index, cfd) in engine.rules().iter().enumerate() {
-                    let xcols = snapshot.columns_for(cfd.lhs());
-                    let ycols = snapshot.columns_for(cfd.rhs());
-                    for &row in &rows {
-                        let x = project_cols(&xcols, row);
-                        let y = project_cols(&ycols, row);
-                        for (pattern_index, pattern) in cfd.tableau().iter().enumerate() {
-                            if pattern.lhs_matches_ids(&x) && !pattern.rhs_matches_ids(&y) {
-                                let witness = ViolationWitness {
-                                    pattern_index,
-                                    kind: ViolationKind::SingleTuple,
-                                    rows: vec![row],
-                                };
-                                out.push(explanation(engine, cfd_index, cfd, &snapshot, witness));
-                            }
-                        }
-                    }
-                }
-            }
-            ViolationItem::MultiTupleKey(_) => {
-                for (cfd_index, cfd) in engine.rules().iter().enumerate() {
-                    if cfd.lhs().len() != ids.len() {
-                        continue;
-                    }
-                    let rows = group_rows(indexes[cfd_index].as_ref(), cfd, &snapshot, &ids);
-                    if rows.len() < 2 {
-                        continue;
-                    }
-                    let ycols = snapshot.columns_for(cfd.rhs());
-                    for (pattern_index, pattern) in cfd.tableau().iter().enumerate() {
-                        if !pattern.lhs_matches_ids(&ids) {
-                            continue;
-                        }
-                        let first = project_cols(&ycols, rows[0]);
-                        if rows[1..].iter().any(|&r| project_cols(&ycols, r) != first) {
-                            let witness = ViolationWitness {
-                                pattern_index,
-                                kind: ViolationKind::MultiTuple,
-                                rows: rows.clone(),
-                            };
-                            out.push(explanation(engine, cfd_index, cfd, &snapshot, witness));
-                        }
-                    }
+                _ => continue,
+            };
+            // That one group, evaluated the way detection reported it.
+            let rows = group_rows(index.as_ref(), cfd, &snapshot, &key);
+            let witnesses = group_witnesses(cfd, &snapshot, &key, &rows);
+            let cols = snapshot.columns_for(attrs);
+            let spelled = |&row: &usize| cols.iter().zip(&ids).all(|(col, id)| col[row] == *id);
+            for witness in witnesses {
+                if witness.kind == kind && witness.rows.iter().any(spelled) {
+                    out.push(explanation(engine, cfd_index, cfd, &snapshot, witness));
                 }
             }
         }
+        out.sort_by(|a, b| {
+            (a.cfd_index, &a.rows, a.pattern_index).cmp(&(b.cfd_index, &b.rows, b.pattern_index))
+        });
         Ok(out)
     }
 }
@@ -709,9 +658,7 @@ fn group_rows(
     key: &[ValueId],
 ) -> Vec<usize> {
     if let Some(index) = index {
-        let mut rows = index.lookup_ids(key).to_vec();
-        rows.sort_unstable();
-        return rows;
+        return index.lookup_ids(key).to_vec();
     }
     let xcols = snapshot.columns_for(cfd.lhs());
     (0..snapshot.len())

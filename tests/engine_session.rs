@@ -264,6 +264,30 @@ fn explain_reports_class_targets_for_multi_tuple_keys() {
     assert!(session.explain(&ghost).unwrap().is_empty());
 }
 
+/// Detection reads `@` as `_` over the full LHS, and `explain` must read it
+/// the same way: t1 and t2 differ only on the `@`-masked ZIP, which the
+/// oracle's effective-attribute grouping would not call a violation.
+#[test]
+fn explain_reads_dont_care_cfds_the_way_detection_reports_them() {
+    let mut rel = cust_instance();
+    rel.set_value(1, AttrId(6), Value::from("00000"));
+    let masked = Cfd::builder(cust_schema(), ["CC", "AC"], ["CT", "ZIP"])
+        .pattern(["01", "908"], ["_", "@"])
+        .build()
+        .unwrap();
+    assert!(masked.has_dont_care() && masked.violations(&rel).is_empty());
+    let engine = Engine::builder().rule(masked).build().unwrap();
+    let mut session = engine.session(Arc::new(rel)).unwrap();
+    let report = session.detect().unwrap();
+    assert_eq!(report.multi_tuple_keys().len(), 1);
+    for item in report.items() {
+        let explanations = session.explain(&item).unwrap();
+        assert_eq!(explanations.len(), 1, "{item:?}");
+        assert_eq!(explanations[0].kind, ViolationKind::MultiTuple);
+        assert_eq!(explanations[0].rows, vec![0, 1], "the full-LHS group");
+    }
+}
+
 #[test]
 fn sessions_move_across_threads_and_share_one_engine() {
     let cfds = tax_cfds(77);

@@ -62,12 +62,12 @@ fn random_cfd(rng: &mut StdRng) -> Cfd {
     };
     let mut tableau = PatternTableau::new();
     for _ in 0..rng.gen_range(1usize..4) {
-        let cell = |rng: &mut StdRng| {
-            if rng.gen_bool(0.6) {
-                PatternValue::Wildcard
-            } else {
-                PatternValue::constant(["a", "b", "c"][rng.gen_range(0usize..3)])
-            }
+        // `@` is drawn too: every serving detector, the stream included,
+        // reads it as `_` over the full LHS.
+        let cell = |rng: &mut StdRng| match rng.gen_range(0usize..10) {
+            0..=4 => PatternValue::Wildcard,
+            5 => PatternValue::DontCare,
+            _ => PatternValue::constant(["a", "b", "c"][rng.gen_range(0usize..3)]),
         };
         let l: Vec<PatternValue> = (0..lhs.len()).map(|_| cell(rng)).collect();
         let r: Vec<PatternValue> = (0..rhs.len()).map(|_| cell(rng)).collect();
@@ -166,7 +166,7 @@ fn insertion_preview_equals_full_detection_on_clean_instances() {
             Relation::from_rows(schema(), rows.clone()).unwrap(),
             cfds.clone(),
         );
-        let preview = engine.detect_insertions(&batch);
+        let preview = engine.detect_insertions(&batch).unwrap();
         let mut combined = rows.clone();
         combined.extend(batch.iter().cloned());
         let full = from_scratch(&cfds, &combined);
@@ -204,7 +204,7 @@ fn deletion_preview_equals_resolved_difference() {
             }
             batch.push(mirror.remove(rng.gen_range(0..mirror.len())));
         }
-        let preview = engine.detect_deletions(&batch);
+        let preview = engine.detect_deletions(&batch).unwrap();
         let after = from_scratch(&cfds, &mirror);
 
         let mut resolved = Violations::new();

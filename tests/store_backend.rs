@@ -102,6 +102,73 @@ fn a_rejected_batch_on_a_disk_session_commits_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Satellite regression: the previews validate arity like `apply_batch`
+/// does. A short tuple used to index out of bounds inside
+/// `Tuple::project_ids` (a panic on a public `Result` API) and a long one was
+/// silently accepted; both are now the typed arity error on either backing,
+/// and the refusal costs the session nothing — instance, report, cached plan
+/// and commit count are as before, and a well-formed preview still answers.
+#[test]
+fn malformed_preview_tuples_are_refused_on_both_backings() {
+    use cfd_relation::RelationError;
+    let dir = scratch_dir("preview-arity");
+    let engine = Engine::builder()
+        .rule_set(fig2_cfd_set())
+        .config(
+            EngineConfig::builder()
+                .detector(DetectorKind::Auto)
+                .build()
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let base = cust_instance();
+    let arity = base.schema().arity();
+    let memory = engine.session(Arc::new(base.clone())).unwrap();
+    let mut disk = engine.session_on_disk(&dir).unwrap();
+    disk.apply_batch(&insert_ops(&base)).unwrap();
+
+    for mut session in [memory, disk] {
+        let label = if session.is_disk_backed() {
+            "disk"
+        } else {
+            "memory"
+        };
+        let before = session.detect().unwrap();
+        let plan_steps = session.detection_plan().map(|p| p.steps().len());
+        let commits = session.committed_batches();
+        let good = base.to_tuples()[0].clone();
+        for got in [arity - 1, arity + 1, 0] {
+            let batch = [good.clone(), Tuple::nulls(got)];
+            for refused in [
+                session.preview_insertions(&batch),
+                session.preview_deletions(&batch),
+            ] {
+                match refused {
+                    Err(Error::Relation(RelationError::ArityMismatch { expected, got: g })) => {
+                        assert_eq!((expected, g), (arity, got), "{label}");
+                    }
+                    other => panic!("{label}: arity {got} must be refused, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(session.len(), base.len(), "{label}");
+        assert_eq!(session.committed_batches(), commits, "{label}");
+        assert_eq!(
+            session.detection_plan().map(|p| p.steps().len()),
+            plan_steps,
+            "{label}: a refused preview must not clear the cached plan"
+        );
+        let after = session.detect().unwrap();
+        assert_eq!(before.canonical_bytes(), after.canonical_bytes(), "{label}");
+        let resolved = session
+            .preview_deletions(std::slice::from_ref(&good))
+            .unwrap();
+        assert_eq!(resolved.constant_violations().len(), 1, "{label}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Differential harness over the disk path: for every detector kind, a
 /// disk-backed session (the scan kernel fed page chunks through an 8-page
 /// pool) must report byte-identically to an in-memory session over the
