@@ -6,9 +6,9 @@ use cfd_bench::tax_data;
 use cfd_core::CfdSet;
 use cfd_datagen::cust::fig2_cfd_set;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::{Detector, DirectDetector};
+use cfd_detect::DirectDetector;
 use cfd_repair::Repairer;
-use cfd_sql::Strategy;
+use cfd_sql::{Detector, Strategy};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::Duration;

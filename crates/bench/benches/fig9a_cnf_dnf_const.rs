@@ -4,8 +4,7 @@
 
 use cfd_bench::tax_data;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::Detector;
-use cfd_sql::Strategy;
+use cfd_sql::{Detector, Strategy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::Duration;

@@ -4,7 +4,8 @@
 
 use cfd_bench::tax_data;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::{Detector, DirectDetector};
+use cfd_detect::DirectDetector;
+use cfd_sql::Detector;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,13 +30,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             detector
                 .detect_set_merged(&cfds, Arc::clone(&data))
-                .unwrap()
-        });
-    });
-    group.bench_function("parallel_4_threads", |b| {
-        b.iter(|| {
-            detector
-                .detect_set_parallel(&cfds, Arc::clone(&data), 4)
                 .unwrap()
         });
     });

@@ -1,6 +1,6 @@
 //! Adaptive-planner bench: the Fig. 9 workload grid served by every static
 //! [`DetectorKind`] plus [`DetectorKind::Auto`], beside the paper's SQL
-//! query pairs ([`Detector`]: per-CFD, merged, parallel).
+//! query pairs ([`Detector`]: per-CFD and merged).
 //!
 //! Five workload profiles sweep the regimes the cost model distinguishes —
 //! a tiny constant tableau, a many-group high-cardinality LHS, a same-LHS
@@ -11,20 +11,21 @@
 //! the direct oracle outside the timed region.
 //!
 //! Besides the harness output, the bench writes
-//! `crates/bench/BENCH_planner.json`: per workload the plan `Auto` chose
-//! (per fused step) and the measured ns/iter of every kind — the artifact CI
-//! uploads to track that the planner stays within a hair of the best static
-//! choice while never riding the worst one.
+//! `crates/bench/BENCH_planner.json` through [`cfd_bench::report`]: per
+//! workload the plan `Auto` chose (per fused step) and the measured ns/iter
+//! of every kind (median over the rounds, with min / max) under a host line
+//! — committed, and uploaded fresh by CI, to track that the planner stays
+//! within a hair of the best static choice while never riding the worst one.
 
 use cfd::{DetectorKind, Engine, EngineConfig, Session};
+use cfd_bench::report::{Entry, Report, Timing};
 use cfd_core::Cfd;
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::sharded::available_cores;
-use cfd_detect::{Detector, DirectDetector, Violations};
+use cfd_detect::{available_cores, DirectDetector, Violations};
 use cfd_relation::Relation;
+use cfd_sql::Detector;
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,15 +111,15 @@ type Series<'a> = (&'static str, Box<dyn FnMut() -> Violations + 'a>);
 /// **round-robin**: after a warm-up call per series (building the
 /// prepared state — plans, indexes, statistics — so the measurement sees
 /// the serving steady state), each round times one batch of every kind
-/// back to back, and the recorded value is the minimum batch mean across
-/// rounds. Interleaving matters on a shared host: measuring kinds
-/// sequentially lets clock drift and thermal state bias whichever kind
-/// runs last, which on this grid is larger than the real gap between the
-/// planner and the best static engine. Batch sizes adapt per kind so a
-/// round costs roughly a fifth of a second per kind (means absorb timer
-/// granularity on microsecond workloads, the min discards interrupted
-/// batches).
-fn time_detect_all(series: &mut [Series<'_>]) -> Vec<u128> {
+/// back to back, and the recorded value is the median batch mean across
+/// rounds, the fastest and slowest round beside it. Interleaving matters on
+/// a shared host: measuring kinds sequentially lets clock drift and thermal
+/// state bias whichever kind runs last, which on this grid is larger than
+/// the real gap between the planner and the best static engine. Batch sizes
+/// adapt per kind so a round costs roughly a fifth of a second per kind
+/// (means absorb timer granularity on microsecond workloads, the median
+/// discards interrupted batches).
+fn time_detect_all(series: &mut [Series<'_>]) -> Vec<Timing> {
     let iters: Vec<usize> = series
         .iter_mut()
         .map(|(_, detect)| {
@@ -139,7 +140,7 @@ fn time_detect_all(series: &mut [Series<'_>]) -> Vec<u128> {
     let mut order: Vec<usize> = (0..series.len()).collect();
     order.sort_by_key(|&k| iters[k]);
     order.reverse(); // largest iter count = cheapest kind first
-    let mut best = vec![u128::MAX; series.len()];
+    let mut rounds = vec![Vec::new(); series.len()];
     for round in 0..8 {
         let round_order: Vec<usize> = if round % 2 == 0 {
             order.clone()
@@ -152,10 +153,10 @@ fn time_detect_all(series: &mut [Series<'_>]) -> Vec<u128> {
             for _ in 0..iters[k] {
                 std::hint::black_box(detect());
             }
-            best[k] = best[k].min(start.elapsed().as_nanos() / iters[k] as u128);
+            rounds[k].push(start.elapsed().as_nanos() / iters[k] as u128);
         }
     }
-    best
+    rounds.into_iter().map(Timing::of).collect()
 }
 
 /// Compact one-line rendering of an Auto plan: `cfds [..] -> strategy` per
@@ -183,7 +184,7 @@ fn bench(c: &mut Criterion) {
         ),
         ("auto", DetectorKind::Auto),
     ];
-    let mut json_entries: Vec<String> = Vec::new();
+    let mut report = Report::new("planner");
 
     for workload in grid() {
         // Correctness guard outside the timed region: Auto must be
@@ -218,13 +219,6 @@ fn bench(c: &mut Criterion) {
                 "sql_merged",
                 Box::new(move || sql.detect_set_merged(cfds, Arc::clone(data)).unwrap()),
             ),
-            (
-                "sql_parallel",
-                Box::new(move || {
-                    sql.detect_set_parallel(cfds, Arc::clone(data), cores)
-                        .unwrap()
-                }),
-            ),
         ];
         for (kind_name, kind) in kinds {
             let mut session = session_for(kind, cfds, data);
@@ -237,31 +231,19 @@ fn bench(c: &mut Criterion) {
         // Hand-timed series for the JSON artifact (the criterion shim
         // prints text only).
         let measured = time_detect_all(&mut series);
-        for ((kind_name, _), ns) in series.iter().zip(&measured) {
-            json_entries.push(format!(
-                "{{\"workload\": \"{}\", \"kind\": \"{kind_name}\", \"ns_per_iter\": {ns}}}",
-                workload.name
-            ));
+        let entry = |kind: &str| {
+            Entry::new()
+                .text("workload", workload.name)
+                .text("kind", kind)
+        };
+        for ((kind_name, _), timing) in series.iter().zip(measured) {
+            report.push(entry(kind_name).timing(timing));
         }
-        json_entries.push(format!(
-            "{{\"workload\": \"{}\", \"kind\": \"auto_plan\", \"plan\": \"{chosen_plan}\"}}",
-            workload.name
-        ));
+        report.push(entry("auto_plan").text("plan", &chosen_plan));
         println!("planner/{}: auto plan = {chosen_plan}", workload.name);
     }
 
-    let mut json = String::from("{\n  \"bench\": \"planner\",\n  \"entries\": [\n");
-    for (i, e) in json_entries.iter().enumerate() {
-        let sep = if i + 1 == json_entries.len() { "" } else { "," };
-        let _ = writeln!(json, "    {e}{sep}");
-    }
-    json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_planner.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    report.write();
 }
 
 criterion_group!(benches, bench);

@@ -22,29 +22,20 @@
 //! Outside the timed region the bench asserts both engines terminate with
 //! instances that every detector path reports as violation-free, and that
 //! the class engine is byte-deterministic across runs. Besides the harness
-//! output it writes `crates/bench/BENCH_repair.json` — machine-readable
-//! `{rows, series, ns_per_iter, speedup}` records — which CI uploads as an
-//! artifact next to `BENCH_columnar.json`.
+//! output it writes `crates/bench/BENCH_repair.json` through
+//! [`cfd_bench::report`] — `{rows, series, ns_per_iter (median), min_ns,
+//! max_ns, samples, speedup}` records under a host line — which CI uploads
+//! as an artifact.
 
+use cfd_bench::report::{time_ns_per_iter, Entry, Report};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::{Detector, DirectDetector, ShardedDetector};
+use cfd_detect::{DirectDetector, ShardedDetector};
 use cfd_repair::{RepairConfig, RepairKind, Repairer};
+use cfd_sql::Detector;
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Times `f` over `iters` iterations (after one warm-up call), returning the
-/// mean ns/iter — the number recorded in `BENCH_repair.json`.
-fn time_ns_per_iter<T>(iters: usize, mut f: impl FnMut() -> T) -> u128 {
-    std::hint::black_box(f());
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_nanos() / iters as u128
-}
+use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let workload = CfdWorkload::new(11);
@@ -52,7 +43,7 @@ fn bench(c: &mut Criterion) {
         workload.zip_state_full(),
         workload.single(EmbeddedFd::AreaToCity, 300, 100.0),
     ];
-    let mut json_entries: Vec<String> = Vec::new();
+    let mut report = Report::new("repair");
 
     for rows in [10_000usize, 100_000] {
         let noisy = TaxGenerator::new(TaxConfig {
@@ -106,19 +97,19 @@ fn bench(c: &mut Criterion) {
 
         // Hand-timed JSON series (the criterion shim prints text only).
         let iters = if rows >= 100_000 { 3 } else { 10 };
-        let heuristic_ns = time_ns_per_iter(iters, || RepairKind::Heuristic.repair(&cfds, &noisy));
-        let class_ns = time_ns_per_iter(iters, || RepairKind::EquivClass.repair(&cfds, &noisy));
-        let speedup = heuristic_ns as f64 / class_ns as f64;
-        json_entries.push(format!(
-            "{{\"rows\": {rows}, \"series\": \"heuristic\", \"ns_per_iter\": {heuristic_ns}}}"
-        ));
-        json_entries.push(format!(
-            "{{\"rows\": {rows}, \"series\": \"equiv_class\", \"ns_per_iter\": {class_ns}, \
-             \"speedup_vs_heuristic\": {speedup:.2}}}"
-        ));
+        let heuristic_t = time_ns_per_iter(iters, || RepairKind::Heuristic.repair(&cfds, &noisy));
+        let class_t = time_ns_per_iter(iters, || RepairKind::EquivClass.repair(&cfds, &noisy));
+        let speedup = heuristic_t.median_ns as f64 / class_t.median_ns as f64;
+        let series = |name: &str| Entry::new().num("rows", rows).text("series", name);
+        report.push(series("heuristic").timing(heuristic_t));
+        report.push(
+            series("equiv_class")
+                .timing(class_t)
+                .num("speedup_vs_heuristic", format!("{speedup:.2}")),
+        );
         println!(
-            "repair/{rows}: heuristic {heuristic_ns} ns/iter, equiv_class {class_ns} ns/iter \
-             ({speedup:.2}x)"
+            "repair/{rows}: heuristic {} ns/iter, equiv_class {} ns/iter ({speedup:.2}x)",
+            heuristic_t.median_ns, class_t.median_ns
         );
 
         // Worker-thread sweep of the class engine, 100k only: 10k rows sit
@@ -146,15 +137,17 @@ fn bench(c: &mut Criterion) {
                     "parallel repair at {threads} threads must be byte-identical"
                 );
                 assert_eq!(sweep.repaired, baseline.repaired);
-                let ns = time_ns_per_iter(iters, || repair_at(threads));
+                let timing = time_ns_per_iter(iters, || repair_at(threads));
+                let ns = timing.median_ns;
                 if threads == 1 {
                     t1_ns = ns;
                 }
                 let speedup = t1_ns as f64 / ns as f64;
-                json_entries.push(format!(
-                    "{{\"rows\": {rows}, \"series\": \"equiv_class_t{threads}\", \
-                     \"ns_per_iter\": {ns}, \"speedup_vs_t1\": {speedup:.2}}}"
-                ));
+                report.push(
+                    series(&format!("equiv_class_t{threads}"))
+                        .timing(timing)
+                        .num("speedup_vs_t1", format!("{speedup:.2}")),
+                );
                 println!(
                     "repair/{rows}: equiv_class_t{threads} {ns} ns/iter \
                      ({speedup:.2}x vs t1)"
@@ -163,19 +156,7 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // BENCH_repair.json: one JSON document, entries in measurement order.
-    let mut json = String::from("{\n  \"bench\": \"repair\",\n  \"entries\": [\n");
-    for (i, e) in json_entries.iter().enumerate() {
-        let sep = if i + 1 == json_entries.len() { "" } else { "," };
-        let _ = writeln!(json, "    {e}{sep}");
-    }
-    json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_repair.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    report.write();
 }
 
 criterion_group!(benches, bench);

@@ -1,5 +1,6 @@
-//! Storage-layer bench: cold out-of-core scans vs. in-memory detection,
-//! and the group-commit latency of the WAL write path.
+//! Storage-layer bench: cold and warm out-of-core scans vs. in-memory
+//! detection. (The write path is measured end to end by the repository
+//! benchmark: `disk_ooc` `commit_p50_ms` and the `store.commit64_*` layers.)
 //!
 //! Three series over a generated tax-records workload:
 //!
@@ -8,26 +9,23 @@
 //! * `warm_scan` — [`ColumnStore::detect`] with the buffer pool left warm
 //!   from the previous iteration (page hits, no I/O);
 //! * `cold_scan` — the same scan after [`ColumnStore::drop_page_cache`],
-//!   so every page is read back through the (out-of-core, 64-frame) pool;
-//!
-//! plus `group_commit` — one durable [`ColumnStore::apply_batch`] of 64
-//! insert/delete ops (net size zero, so the store stays fixed): the
-//! number reported is the full commit latency including the WAL fsync.
+//!   so every page is read back through the (out-of-core, 64-frame) pool.
 //!
 //! Besides the harness output, the bench writes
-//! `crates/bench/BENCH_store.json` — `{rows, series, ns_per_iter}`
-//! records the CI workflow uploads as an artifact.
+//! `crates/bench/BENCH_store.json` through [`cfd_bench::report`] —
+//! `{rows, series, ns_per_iter (median), min_ns, max_ns, samples}` records
+//! under a host line; the file is committed and CI uploads a fresh one.
 
 use cfd::store::{ColumnStore, StoreOptions};
+use cfd_bench::report::{time_ns_per_iter, Entry, Report};
 use cfd_core::Cfd;
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
 use cfd_detect::{BatchOp, DirectDetector, Violations};
-use cfd_relation::{Relation, Tuple, Value};
+use cfd_relation::Relation;
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn tax_cfds() -> Vec<Cfd> {
     let workload = CfdWorkload::new(13);
@@ -50,39 +48,15 @@ fn detect_in_memory(cfds: &[Cfd], data: &Relation) -> Violations {
     out
 }
 
-/// A batch of 64 ops that leaves the store unchanged: 32 inserts of rows
-/// distinct from the workload (a sentinel name column), each paired with
-/// its delete.
-fn churn_batch(data: &Relation) -> Vec<BatchOp> {
-    let mut ops = Vec::with_capacity(64);
-    for i in 0..32usize {
-        let mut cells = data.row(i).expect("workload has 32 rows").to_values();
-        cells[3] = Value::from(format!("churn-{i}").as_str());
-        let t = Tuple::new(cells);
-        ops.push(BatchOp::Insert(t.clone()));
-        ops.push(BatchOp::Delete(t));
-    }
-    ops
-}
-
 fn scratch_dir(rows: usize) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cfd-bench-store-{rows}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-fn time_ns_per_iter<T>(iters: usize, mut f: impl FnMut() -> T) -> u128 {
-    std::hint::black_box(f());
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_nanos() / iters as u128
-}
-
 fn bench(c: &mut Criterion) {
     let cfds = tax_cfds();
-    let mut json_entries: Vec<String> = Vec::new();
+    let mut report = Report::new("store");
 
     for rows in [10_000usize, 40_000] {
         let data = TaxGenerator::new(TaxConfig {
@@ -132,37 +106,36 @@ fn bench(c: &mut Criterion) {
                 store.detect(&cfds).expect("cold scan")
             });
         });
-        let churn = churn_batch(&data);
-        group.bench_function("group_commit", |b| {
-            b.iter(|| store.apply_batch(&churn).expect("churn batch"));
-        });
         group.finish();
 
         // Hand-timed JSON series (the criterion shim prints text only).
         let iters = if rows >= 40_000 { 3 } else { 10 };
-        let in_memory_ns = time_ns_per_iter(iters, || detect_in_memory(&cfds, &data));
-        let warm_ns = time_ns_per_iter(iters, || store.detect(&cfds).expect("warm"));
-        let cold_ns = time_ns_per_iter(iters, || {
+        let in_memory = time_ns_per_iter(iters, || detect_in_memory(&cfds, &data));
+        let warm = time_ns_per_iter(iters, || store.detect(&cfds).expect("warm"));
+        let cold = time_ns_per_iter(iters, || {
             store.drop_page_cache().expect("drop cache");
             store.detect(&cfds).expect("cold")
         });
-        let commit_ns = time_ns_per_iter(iters, || store.apply_batch(&churn).expect("churn"));
-        for (series, ns) in [
-            ("in_memory", in_memory_ns),
-            ("warm_scan", warm_ns),
-            ("cold_scan", cold_ns),
-            ("group_commit_64ops", commit_ns),
+        for (series, timing) in [
+            ("in_memory", in_memory),
+            ("warm_scan", warm),
+            ("cold_scan", cold),
         ] {
-            json_entries.push(format!(
-                "{{\"rows\": {rows}, \"series\": \"{series}\", \"ns_per_iter\": {ns}}}"
-            ));
+            report.push(
+                Entry::new()
+                    .num("rows", rows)
+                    .text("series", series)
+                    .timing(timing),
+            );
         }
         let stats = store.pool_stats();
         println!(
-            "store/{rows}: in_memory {in_memory_ns} ns/iter, warm {warm_ns} ns/iter, \
-             cold {cold_ns} ns/iter ({:.2}x over in-memory), group_commit(64 ops) {commit_ns} ns \
-             [pool: capacity {}, peak {}]",
-            cold_ns as f64 / in_memory_ns as f64,
+            "store/{rows}: in_memory {} ns/iter, warm {} ns/iter, cold {} ns/iter \
+             ({:.2}x over in-memory) [pool: capacity {}, peak {}]",
+            in_memory.median_ns,
+            warm.median_ns,
+            cold.median_ns,
+            cold.median_ns as f64 / in_memory.median_ns as f64,
             stats.capacity,
             stats.peak_resident
         );
@@ -175,19 +148,7 @@ fn bench(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // BENCH_store.json: one JSON document, entries in measurement order.
-    let mut json = String::from("{\n  \"bench\": \"store\",\n  \"entries\": [\n");
-    for (i, e) in json_entries.iter().enumerate() {
-        let sep = if i + 1 == json_entries.len() { "" } else { "," };
-        let _ = writeln!(json, "    {e}{sep}");
-    }
-    json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_store.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    report.write();
 }
 
 criterion_group!(benches, bench);

@@ -13,7 +13,7 @@
 //!   substantially slower);
 //! * `--list` prints the available experiment ids and exits.
 //!
-//! Output is Markdown, suitable for pasting into EXPERIMENTS.md.
+//! Output is Markdown: one table per experiment.
 
 use cfd_bench::experiments;
 
@@ -24,7 +24,7 @@ fn main() {
     if args.iter().any(|a| a == "--list") {
         println!(
             "available experiments: fig9a fig9b fig9c fig9d fig9e fig9f merged \
-             ablation-detectors ablation-mincover ablation-parallel"
+             ablation-detectors ablation-mincover"
         );
         return;
     }

@@ -4,8 +4,8 @@
 use crate::{fmt_size, tax_data, time, Experiment, Point};
 use cfd_core::CfdSet;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::{Detector, DirectDetector};
-use cfd_sql::Strategy;
+use cfd_detect::DirectDetector;
+use cfd_sql::{Detector, Strategy};
 use std::sync::Arc;
 
 /// Sizes (SZ) swept by the SZ-scalability experiments.
@@ -324,40 +324,6 @@ pub fn ablation_mincover(quick: bool) -> Experiment {
     }
 }
 
-/// Ablation: single-threaded vs parallel per-CFD detection (extension).
-pub fn ablation_parallel(quick: bool) -> Experiment {
-    let sz = if quick { 30_000 } else { 100_000 };
-    let tab = if quick { 200 } else { 1_000 };
-    let data = tax_data(sz, 5.0, 73);
-    let cfds = CfdWorkload::new(79).many(6, 4, tab, 100.0);
-    let detector = Detector::new();
-    let (_, serial) = time(|| detector.detect_set(&cfds, Arc::clone(&data)).unwrap());
-    let (_, parallel) = time(|| {
-        detector
-            .detect_set_parallel(&cfds, Arc::clone(&data), 4)
-            .unwrap()
-    });
-    Experiment {
-        id: "ablation-parallel",
-        title: "Per-CFD detection: single-threaded vs 4 worker threads".into(),
-        parameters: format!("SZ {}, NOISE 5%, 6 CFDs, TABSZ {tab}", fmt_size(sz)),
-        points: vec![
-            Point {
-                x: "6 CFDs".into(),
-                series: "serial".into(),
-                seconds: serial,
-                detail: String::new(),
-            },
-            Point {
-                x: "6 CFDs".into(),
-                series: "4 threads".into(),
-                seconds: parallel,
-                detail: String::new(),
-            },
-        ],
-    }
-}
-
 /// Every experiment, in presentation order.
 pub fn all(quick: bool) -> Vec<Experiment> {
     vec![
@@ -370,7 +336,6 @@ pub fn all(quick: bool) -> Vec<Experiment> {
         merged(quick),
         ablation_detectors(quick),
         ablation_mincover(quick),
-        ablation_parallel(quick),
     ]
 }
 
@@ -386,7 +351,6 @@ pub fn by_id(id: &str, quick: bool) -> Option<Experiment> {
         "merged" => Some(merged(quick)),
         "ablation-detectors" => Some(ablation_detectors(quick)),
         "ablation-mincover" => Some(ablation_mincover(quick)),
-        "ablation-parallel" => Some(ablation_parallel(quick)),
         _ => None,
     }
 }
@@ -407,7 +371,6 @@ mod tests {
             "merged",
             "ablation-detectors",
             "ablation-mincover",
-            "ablation-parallel",
         ] {
             // Only check that the id is known; running them is the binary's job.
             assert!(

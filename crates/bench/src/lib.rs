@@ -6,7 +6,12 @@
 //! NOISE, …). Absolute numbers differ from the paper — the substrate is this
 //! workspace's in-memory SQL engine rather than DB2 on 2007 hardware — but
 //! the *shape* of each curve (who wins, what scales linearly, what has no
-//! effect) is the reproduction target; see `EXPERIMENTS.md`.
+//! effect) is the reproduction target, and it is pinned — on the executor's
+//! counters, not on wall clock — by `crates/sqlgen/tests/fig9_shapes.rs`.
+//!
+//! [`report`] is the one writer behind the committed `BENCH_*.json` files of
+//! the kernel-isolating benches (`repair`, `store`, `planner`); everything
+//! end to end is measured by the repository benchmark (`BENCHMARK.json`).
 //!
 //! Two sizes are supported: `quick` (default; minutes) and `full`
 //! (`--full`; closer to the paper's parameters, tens of minutes). The
@@ -20,6 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 pub mod experiments;
+pub mod report;
 
 /// One measured point of an experiment: a series name, the x-axis value, and
 /// the measured wall-clock seconds.

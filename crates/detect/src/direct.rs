@@ -4,7 +4,7 @@
 //! compute, but without going through the SQL layer: it groups tuples in one
 //! pass per CFD over the vectorized [`kernels`](crate::kernels). It is the
 //! serving fast path, and an **independent counterpart** of the SQL-based
-//! [`Detector`](crate::Detector) — the differential harness asserts that
+//! `Detector` of the `cfd-sql` crate — the differential harness asserts that
 //! both return identical reports on arbitrary data.
 
 use crate::groups::GroupEval;

@@ -407,13 +407,11 @@ impl IncrementalDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::Detector;
     use crate::direct::DirectDetector;
     use cfd_datagen::cust::{cust_instance, cust_schema, phi2, phi3_with_fd};
     use cfd_datagen::records::{TaxConfig, TaxGenerator};
     use cfd_datagen::{CfdWorkload, EmbeddedFd};
     use cfd_relation::Value;
-    use std::sync::Arc;
 
     fn tuple(values: &[&str]) -> Tuple {
         Tuple::new(values.iter().map(|s| Value::from(*s)).collect())
@@ -509,7 +507,7 @@ mod tests {
     #[test]
     fn incremental_matches_full_detection_on_the_combined_instance() {
         // Build a clean tax base, a noisy batch, and compare against running
-        // the full SQL detector on base ∪ batch.
+        // full detection on base ∪ batch.
         let base = TaxGenerator::new(TaxConfig {
             size: 600,
             noise_percent: 0.0,
@@ -538,9 +536,7 @@ mod tests {
         for t in &batch {
             combined.push(t.clone()).unwrap();
         }
-        let full = Detector::new()
-            .detect_set(&cfds, Arc::new(combined))
-            .unwrap();
+        let full = DirectDetector::new().detect_set(&cfds, &combined);
 
         // The base is clean, so every full-detection finding involves the
         // batch and must be found incrementally, and vice versa.

@@ -1,71 +1,20 @@
 //! The SQL-based detector of Section 4 — the paper's `QC`/`QV` query pairs
-//! run on the in-memory engine, per CFD, merged, or across threads — and the
-//! [`DetectorKind`] selector over the serving engines.
+//! run on the in-memory engine, per CFD or merged.
 //!
 //! [`Detector`] is the reproduction artefact and the differential reference:
 //! the Fig. 9 benches and the differential harness call it directly. It is
-//! deliberately **not** a [`DetectorKind`]: the SQL path is 10–150× behind
-//! the direct scan on every planner workload, so a serving `Session` never
-//! dispatches to it.
+//! deliberately **not** a [`cfd_detect::DetectorKind`]: the SQL path is
+//! 55–460× behind the direct scan on every planner workload, so a serving
+//! `Session` never dispatches to it.
 
-use crate::direct::DirectDetector;
 use crate::merge::MergedTableaux;
 use crate::merged::{self, TableauSource};
-use crate::report::Violations;
-use crate::sharded::ShardedDetector;
 use crate::single;
+use crate::{Catalog, ExecStats, Executor, Result, SelectQuery, SqlError, Strategy};
 use cfd_core::Cfd;
+use cfd_detect::Violations;
 use cfd_relation::{Relation, Value};
-use cfd_sql::{Catalog, ExecStats, Executor, SelectQuery, SqlError, Strategy};
 use std::sync::Arc;
-
-/// Result alias: detection surfaces SQL-layer errors unchanged.
-pub type Result<T> = std::result::Result<T, SqlError>;
-
-/// Selects the serving detection engine behind a single entry point
-/// ([`DetectorKind::detect_set`]). All variants run the one vectorized scan
-/// kernel and report byte-identical violation sets; they differ only in how
-/// the work is laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// The single-threaded scan ([`DirectDetector`]).
-    Direct,
-    /// Hash-sharded parallel detection ([`ShardedDetector`]): rows are
-    /// partitioned by interned LHS key and scanned on scoped worker threads.
-    Sharded {
-        /// Shard/worker count (clamped to ≥ 1).
-        shards: usize,
-    },
-    /// Cost-based adaptive detection ([`Planner`](crate::Planner)): a
-    /// per-CFD strategy (direct / sharded / merged / index-driven) chosen
-    /// from data statistics and rule shape. Reports are byte-identical to
-    /// [`DetectorKind::Direct`] — only the execution path adapts.
-    Auto,
-}
-
-impl DetectorKind {
-    /// Detects the violations of `cfds` on `data` with the selected engine.
-    pub fn detect_set(&self, cfds: &[Cfd], data: &Relation) -> Violations {
-        match self {
-            DetectorKind::Direct => DirectDetector::new().detect_set(cfds, data),
-            DetectorKind::Sharded { shards } => {
-                ShardedDetector::new(*shards).detect_set(cfds, data)
-            }
-            DetectorKind::Auto => crate::Planner::new().detect_set(cfds, data),
-        }
-    }
-
-    /// Every selectable engine, for exhaustive differential sweeps.
-    pub fn all(parallelism: usize) -> [DetectorKind; 3] {
-        [
-            DetectorKind::Direct,
-            DetectorKind::Sharded {
-                shards: parallelism,
-            },
-            DetectorKind::Auto,
-        ]
-    }
-}
 
 /// Execution counters for one detection run (one CFD or one merged set).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -236,42 +185,6 @@ impl Detector {
         Ok(report(qc.rows(), qv.rows()))
     }
 
-    /// Validates a set of CFDs with one query pair per CFD, spreading the
-    /// CFDs over `threads` worker threads (an extension beyond the paper —
-    /// the per-CFD query pairs are embarrassingly parallel).
-    // Arc by value: same signature-uniformity rationale as `detect_set`.
-    #[allow(clippy::needless_pass_by_value)]
-    pub fn detect_set_parallel(
-        &self,
-        cfds: &[Cfd],
-        data: Arc<Relation>,
-        threads: usize,
-    ) -> Result<Violations> {
-        if cfds.is_empty() {
-            return Ok(Violations::new());
-        }
-        let threads = threads.max(1).min(cfds.len());
-        let chunk_size = cfds.len().div_ceil(threads);
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in cfds.chunks(chunk_size) {
-                let data = Arc::clone(&data);
-                let detector = *self;
-                handles.push(scope.spawn(move || detector.detect_set(chunk, data)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect::<Vec<_>>()
-        });
-
-        let mut out = Violations::new();
-        for r in results {
-            out.merge(r?);
-        }
-        Ok(out)
-    }
-
     /// The SQL text of the query pair for one CFD, for inspection and
     /// documentation (Fig. 5).
     pub fn sql_for(&self, cfd: &Cfd, data_name: &str) -> (SelectQuery, SelectQuery) {
@@ -294,7 +207,8 @@ mod tests {
     use cfd_datagen::cust::{cust_instance, fig2_cfd_set, phi1, phi2, phi3_with_fd, phi5};
     use cfd_datagen::records::{TaxConfig, TaxGenerator};
     use cfd_datagen::{CfdWorkload, EmbeddedFd};
-    use cfd_relation::Value;
+    use cfd_detect::{scan_group, DetectorKind, DirectDetector, IncrementalDetector, ScanScratch};
+    use cfd_relation::Tuple;
 
     #[test]
     fn example_4_1_detection_via_sql() {
@@ -306,12 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn sql_and_direct_detectors_agree_on_the_running_example() {
+    fn sql_direct_and_the_block_kernel_agree_on_the_running_example() {
         let rel = cust_instance();
+        let mut scratch = ScanScratch::new();
         for cfd in [phi1(), phi2(), phi3_with_fd(), phi5()] {
             let sql = Detector::new().detect(&cfd, &rel).unwrap();
             let direct = DirectDetector::new().detect(&cfd, &rel);
             assert_eq!(sql, direct, "detectors disagree on {:?}", cfd.name());
+            let mut kernel = Violations::new();
+            scan_group(&[&cfd], &rel, None, &mut scratch, &mut kernel);
+            assert_eq!(sql, kernel, "kernel disagrees on {:?}", cfd.name());
         }
     }
 
@@ -349,21 +267,17 @@ mod tests {
     }
 
     #[test]
-    fn per_cfd_merged_and_parallel_set_detection_agree_on_qc() {
+    fn per_cfd_and_merged_set_detection_agree_on_qc() {
         let rel = Arc::new(cust_instance());
         let cfds: Vec<_> = fig2_cfd_set().into_iter().collect();
         let per_cfd = Detector::new().detect_set(&cfds, Arc::clone(&rel)).unwrap();
         let merged = Detector::new()
             .detect_set_merged(&cfds, Arc::clone(&rel))
             .unwrap();
-        let parallel = Detector::new()
-            .detect_set_parallel(&cfds, Arc::clone(&rel), 3)
-            .unwrap();
-        // Constant violations are full tuples in every scheme, so they agree
+        // Constant violations are full tuples in both schemes, so they agree
         // exactly; multi-tuple keys use different key spaces (per-CFD X vs the
         // merged X union), so only their emptiness is compared here.
         assert_eq!(per_cfd.constant_violations(), merged.constant_violations());
-        assert_eq!(per_cfd, parallel);
         assert_eq!(
             per_cfd.multi_tuple_keys().is_empty(),
             merged.multi_tuple_keys().is_empty()
@@ -440,16 +354,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_detection_handles_edge_cases() {
-        let rel = Arc::new(cust_instance());
-        let none = Detector::new()
-            .detect_set_parallel(&[], Arc::clone(&rel), 4)
+    fn incremental_insertions_match_full_sql_detection_on_the_combined_instance() {
+        // A clean tax base and a noisy batch: the stream engine's insertion
+        // preview against the SQL pair over base ∪ batch.
+        let tax = |size, noise_percent, seed| {
+            TaxGenerator::new(TaxConfig {
+                size,
+                noise_percent,
+                seed,
+            })
+            .generate()
+            .relation
+        };
+        let base = tax(600, 0.0, 3);
+        let batch: Vec<Tuple> = tax(80, 20.0, 4).to_tuples();
+        let cfds = vec![
+            CfdWorkload::new(1).zip_state_full(),
+            CfdWorkload::new(1).single(EmbeddedFd::AreaToCity, 200, 100.0),
+        ];
+
+        let incremental = IncrementalDetector::new(base.clone(), cfds.clone())
+            .detect_insertions(&batch)
             .unwrap();
-        assert!(none.is_clean());
-        let one = Detector::new()
-            .detect_set_parallel(&[phi2()], Arc::clone(&rel), 16)
+
+        let mut combined = base;
+        for t in &batch {
+            combined.push(t.clone()).unwrap();
+        }
+        let full = Detector::new()
+            .detect_set(&cfds, Arc::new(combined))
             .unwrap();
-        assert_eq!(one.constant_violations().len(), 2);
+
+        // The base is clean, so every full-detection finding involves the
+        // batch and must be found incrementally, and vice versa.
+        assert_eq!(incremental, full);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   quadratic nested loop in the in-memory executor without changing the
 //!   result.
 
+use crate::ast::{Expr, SelectItem, SelectQuery, TableRef};
 use crate::merge::MergedTableaux;
 use crate::single::{x_match, y_mismatch, DATA_ALIAS};
-use cfd_sql::ast::{Expr, SelectItem, SelectQuery, TableRef};
 
 /// Alias of the pre-joined tableau in execution-form queries.
 pub const JOINED_ALIAS: &str = "tp";
@@ -169,9 +169,9 @@ pub fn qv_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Catalog, Executor, Strategy};
     use cfd_datagen::cust::{cust_instance, phi2, phi3_with_fd, phi5};
     use cfd_relation::Value;
-    use cfd_sql::{Catalog, Executor, Strategy};
 
     const JOINED: TableauSource<'static> = TableauSource::Joined("TXY");
     const PAPER: TableauSource<'static> = TableauSource::Split { tx: "TX", ty: "TY" };

@@ -6,9 +6,9 @@
 //! bounded by the size of the embedded FD and independent of the tableau's
 //! size and contents — the property the paper highlights.
 
+use crate::ast::{Expr, SelectItem, SelectQuery, TableRef};
 use cfd_core::Cfd;
 use cfd_relation::{Relation, Schema, Tuple};
-use cfd_sql::ast::{Expr, SelectItem, SelectQuery, TableRef};
 
 /// Alias used for the data relation in generated queries.
 pub const DATA_ALIAS: &str = "t";

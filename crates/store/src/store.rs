@@ -472,9 +472,14 @@ impl ColumnStore {
         Ok(())
     }
 
-    /// First live slot whose tuple equals `values` (bag-semantics delete
-    /// target), or `None`. Comparison is by store id, so values the
-    /// dictionary has never seen cannot match.
+    /// Latest live slot whose tuple equals `values` — the occurrence a
+    /// bag-semantics delete retires — or `None`. Latest, because that is the
+    /// one `IncrementalDetector::apply_batch` pops in memory: the same
+    /// history then leaves the same row order on both backings (and any
+    /// future tuple → slot locator must keep this rule). Live commits and
+    /// WAL replay both resolve deletes here, so recovery is deterministic.
+    /// Comparison is by store id, so values the dictionary has never seen
+    /// cannot match.
     fn find_live(&mut self, values: &[Value]) -> Result<Option<u64>> {
         let mut target = Vec::with_capacity(values.len());
         for v in values {
@@ -483,7 +488,7 @@ impl ColumnStore {
                 None => return Ok(None),
             }
         }
-        'slots: for slot in 0..self.slots {
+        'slots: for slot in (0..self.slots).rev() {
             if self.dead.contains(&slot) {
                 continue;
             }

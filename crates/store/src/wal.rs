@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 pub enum StoreOp {
     /// Append a tuple (values in schema order).
     Insert(Vec<Value>),
-    /// Tombstone the first live slot holding an identical tuple (bag
+    /// Tombstone the latest live slot holding an identical tuple (bag
     /// semantics; a no-op when none matches).
     Delete(Vec<Value>),
     /// Overwrite one cell of a live slot — the logged form of a repair's

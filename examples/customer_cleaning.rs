@@ -7,7 +7,7 @@
 use cfd::prelude::*;
 use cfd_core::NormalCfd;
 use cfd_datagen::cust::{phi3_with_fd, phi5};
-use cfd_detect::MergedTableaux;
+use cfd_sql::{Detector, MergedTableaux};
 use std::sync::Arc;
 
 fn main() {

@@ -5,6 +5,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use cfd::prelude::*;
+use cfd_sql::Detector;
 use std::sync::Arc;
 
 fn main() {
@@ -28,8 +29,8 @@ fn main() {
         .expect("consistent rule set");
     println!("== rules ==\n{}", engine.rules());
 
-    // 2. The SQL a relational backend would run for ϕ2 (Fig. 5) — the engine
-    //    compiled these once at build time.
+    // 2. The SQL a relational backend would run for ϕ2 (Fig. 5): the
+    //    paper's reproduction path, a crate of its own beside the facade.
     let (qc, qv) = Detector::new().sql_for(&engine.rules().cfds()[1], "cust");
     println!("== generated SQL for phi2 ==\nQC: {qc}\nQV: {qv}");
 

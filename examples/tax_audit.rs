@@ -1,5 +1,5 @@
 //! Auditing a synthetic tax-records table — the workload of the paper's
-//! evaluation: first with the paper's SQL query pairs (`Detector`), then
+//! evaluation: first with the paper's SQL query pairs (`cfd_sql::Detector`), then
 //! through the prepared `Engine`/`Session` API — validate the constraint
 //! set once, serve detection with several engines, stream a
 //! batch of late-arriving records with incremental maintenance, then
@@ -10,6 +10,7 @@
 use cfd::prelude::*;
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
+use cfd_sql::Detector;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,18 +52,14 @@ fn main() {
     let data = Arc::new(generated.relation);
 
     // The paper's detection (Section 4), run as SQL on the in-memory
-    // engine: per-CFD query pairs (2 × |Σ| passes), the merged pair
-    // (2 passes), and the per-CFD pairs spread over 4 threads.
+    // engine: per-CFD query pairs (2 × |Σ| passes) and the merged pair
+    // (2 passes).
     let sql = Detector::new();
     timed("per-CFD SQL", || {
         sql.detect_set(&cfds, Arc::clone(&data)).unwrap()
     });
     timed("merged SQL", || {
         sql.detect_set_merged(&cfds, Arc::clone(&data)).unwrap()
-    });
-    timed("4-way parallel SQL", || {
-        sql.detect_set_parallel(&cfds, Arc::clone(&data), 4)
-            .unwrap()
     });
 
     // The serving engines over the one scan kernel: the direct scan and the

@@ -3,7 +3,7 @@
 //! Every fallible facade entry point — [`EngineBuilder::build`],
 //! [`Engine::session`], [`Session`] methods, and the one-shot free functions
 //! — returns [`Error`], so applications match on **one** enum instead of
-//! juggling `cfd_sql::SqlError`, `cfd_relation::RelationError` and
+//! juggling `cfd_store::StoreError`, `cfd_relation::RelationError` and
 //! `cfd_core::CfdError` per call site. The layer-specific errors convert in
 //! via `From` and remain inspectable through the corresponding variants (and
 //! [`std::error::Error::source`]).
@@ -14,7 +14,6 @@
 
 use cfd_core::CfdError;
 use cfd_relation::RelationError;
-use cfd_sql::SqlError;
 use cfd_store::StoreError;
 use std::fmt;
 
@@ -61,8 +60,6 @@ pub enum Error {
     /// the variant that keeps one tenant's fault from taking down the
     /// others.
     WorkerPanicked,
-    /// An error bubbled up from the SQL substrate.
-    Sql(SqlError),
     /// An error bubbled up from the relational substrate.
     Relation(RelationError),
     /// An error bubbled up from the disk-backed storage layer (I/O,
@@ -91,7 +88,6 @@ impl fmt::Display for Error {
             Error::WorkerPanicked => {
                 write!(f, "a worker thread panicked; the session remains usable")
             }
-            Error::Sql(e) => write!(f, "sql error: {e}"),
             Error::Relation(e) => write!(f, "relation error: {e}"),
             Error::Store(e) => write!(f, "store error: {e}"),
         }
@@ -102,7 +98,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Rules(e) => Some(e),
-            Error::Sql(e) => Some(e),
             Error::Relation(e) => Some(e),
             Error::Store(e) => Some(e),
             _ => None,
@@ -120,12 +115,6 @@ impl From<CfdError> for Error {
             CfdError::Relation(e) => Error::Relation(e),
             other => Error::Rules(other),
         }
-    }
-}
-
-impl From<SqlError> for Error {
-    fn from(e: SqlError) -> Self {
-        Error::Sql(e)
     }
 }
 
@@ -168,10 +157,6 @@ mod tests {
         let direct: Error = RelationError::Parse("bad".into()).into();
         assert_eq!(via_core, direct);
         assert!(matches!(via_core, Error::Relation(_)));
-
-        let sql: Error = SqlError::UnknownTable("T".into()).into();
-        assert!(sql.to_string().contains("T"));
-        assert!(sql.source().is_some());
 
         let rel: Error = RelationError::Parse("bad".into()).into();
         assert!(rel.to_string().contains("bad"));

@@ -36,33 +36,32 @@
 //! The workspace crates stay importable for lower-level use:
 //!
 //! * [`relation`] — values, schemas, tuples, in-memory columnar relations.
-//! * [`sql`] — the SQL AST/executor the paper's detection queries run on.
 //! * [`core`] — CFDs, pattern tableaux, satisfaction, consistency, the
 //!   inference system and minimal covers.
 //! * [`detect`] — direct, hash-sharded parallel and incremental (streaming)
 //!   violation detection over one vectorized scan kernel, selectable via
 //!   [`DetectorKind`] — including [`DetectorKind::Auto`], the cost-based
-//!   adaptive planner — plus [`detect::Detector`], the paper's SQL `QC`/`QV`
-//!   query pairs (Section 4), kept as the reproduction and the differential
-//!   reference rather than a serving engine.
+//!   adaptive planner.
 //! * [`repair`] — cost-based repair (Section 6) behind [`RepairKind`].
 //! * [`store`] — the durable storage layer behind
 //!   [`Engine::session_on_disk`]: pager, bounded buffer pool, persisted
 //!   value dictionary and a group-commit write-ahead log, serving
 //!   detection over instances larger than memory with crash recovery.
-//! * [`discovery`] — FD / constant-CFD discovery (future work in the paper).
 //! * [`datagen`] — the `cust` running example and the synthetic tax-records
 //!   workload used by the evaluation.
+//!
+//! `cfd-sql` (the paper's SQL `QC`/`QV` path of Section 4 and its `Detector`:
+//! reproduction artefact and differential oracle) and `cfd-discovery` (FD /
+//! constant-CFD discovery) are **not** behind this facade, so nothing that
+//! serves compiles them; depend on them directly.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
 pub use cfd_core as core;
 pub use cfd_datagen as datagen;
 pub use cfd_detect as detect;
-pub use cfd_discovery as discovery;
 pub use cfd_relation as relation;
 pub use cfd_repair as repair;
-pub use cfd_sql as sql;
 pub use cfd_store as store;
 
 mod config;
@@ -148,10 +147,9 @@ pub mod prelude {
     pub use cfd_core::{Cfd, CfdSet, PatternTableau, PatternTuple, PatternValue};
     pub use cfd_datagen::cust::{cust_instance, cust_schema};
     pub use cfd_detect::{
-        BatchOp, DetectionPlan, Detector, DetectorKind, IncrementalDetector, Planner,
-        ShardedDetector, StepStrategy, ViolationItem, Violations,
+        BatchOp, DetectionPlan, DetectorKind, IncrementalDetector, Planner, ShardedDetector,
+        StepStrategy, ViolationItem, Violations,
     };
     pub use cfd_relation::{AttrType, Domain, Relation, Schema, Tuple, TupleWeights, Value};
     pub use cfd_repair::{CostModel, RepairConfig, RepairKind, RepairResult, Repairer};
-    pub use cfd_sql::{Catalog, Executor, PreparedQuery, Strategy};
 }

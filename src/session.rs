@@ -317,7 +317,7 @@ impl Session {
     ///
     /// Reports are byte-identical to running the same [`DetectorKind`] from
     /// scratch on [`Session::snapshot`] — and to the paper's SQL query pairs
-    /// ([`cfd_detect::Detector`]); the differential harness pins both.
+    /// (the `Detector` of `cfd-sql`); the differential harness pins both.
     ///
     /// On a **disk-backed** session every kind runs as
     /// [`ColumnStore::detect`]: the same scan kernel fed one page chunk at a
@@ -588,8 +588,7 @@ impl Session {
     ///
     /// Multi-tuple keys are interpreted in each same-arity CFD's own LHS
     /// attribute order — the key space of every [`DetectorKind`]. (The
-    /// paper's merged SQL pair,
-    /// [`Detector::detect_set_merged`](cfd_detect::Detector::detect_set_merged),
+    /// paper's merged SQL pair, `Detector::detect_set_merged` of `cfd-sql`,
     /// reports multi-CFD `QV` keys over the *merged* `X`-attribute union
     /// instead; those union keys generally resolve to no per-CFD group
     /// here.)

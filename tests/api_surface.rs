@@ -12,15 +12,18 @@
 
 // Every prelude export, imported individually so a removal is a hard error.
 use cfd::prelude::{
-    cust_instance, cust_schema, AttrType, BatchOp, Catalog, Cfd, CfdSet, CostModel, Detector,
+    cust_instance, cust_schema, AttrType, BatchOp, Cfd, CfdSet, CostModel, DetectionPlan,
     DetectorKind, Domain, Engine, EngineBuilder, EngineConfig, EngineConfigBuilder, Error,
     Explanation, IncrementalDetector, PatternTableau, PatternTuple, PatternValue, PlannedEdit,
-    PreparedQuery, Relation, RepairConfig, RepairKind, RepairResult, Repairer, Schema, Session,
-    ShardedDetector, StorageConfig, Strategy, Tuple, TupleWeights, Value, ViolationItem,
+    Planner, Relation, RepairConfig, RepairKind, RepairResult, Repairer, Schema, Session,
+    ShardedDetector, StepStrategy, StorageConfig, Tuple, TupleWeights, Value, ViolationItem,
     Violations,
 };
 use cfd_detect::Violations as DetectViolations;
 use cfd_repair::RepairResult as RepairResultAlias;
+// The paper's SQL path is not behind the facade: `cfd-sql` is a crate of its
+// own that only tests, examples and `cfd-bench` depend on.
+use cfd_sql::{Detector, SqlError, Strategy};
 use std::sync::Arc;
 
 /// The free functions keep their documented signatures, `cfd::Error` being
@@ -92,18 +95,18 @@ const _CONFIG: () = {
 };
 
 /// The serving selector is three scan layouts over one kernel; the paper's
-/// SQL reproduction is reached through `Detector`, with its own strategy
-/// knob (Fig. 9(a)/(b)).
+/// SQL reproduction is `cfd_sql::Detector`, with its own strategy knob
+/// (Fig. 9(a)/(b)), reporting into the same `Violations`.
 const _DETECTION: () = {
     let _: fn(usize) -> [DetectorKind; 3] = DetectorKind::all;
     let _: fn(&DetectorKind, &[Cfd], &Relation) -> Violations = DetectorKind::detect_set;
     let _: fn(Detector, Strategy) -> Detector = Detector::with_strategy;
-    let _: fn(&Detector, &[Cfd], Arc<Relation>) -> Result<Violations, cfd_sql::SqlError> =
+    let _: fn(&Detector, &[Cfd], Arc<Relation>) -> Result<Violations, SqlError> =
         Detector::detect_set;
-    let _: fn(&Detector, &[Cfd], Arc<Relation>) -> Result<Violations, cfd_sql::SqlError> =
+    let _: fn(&Detector, &[Cfd], Arc<Relation>) -> Result<Violations, SqlError> =
         Detector::detect_set_merged;
-    let _: fn(&Detector, &[Cfd], Arc<Relation>, usize) -> Result<Violations, cfd_sql::SqlError> =
-        Detector::detect_set_parallel;
+    let _: fn(&Detector, &[Cfd], Arc<Relation>) -> Result<Violations, SqlError> =
+        Detector::detect_set_merged_paper_form;
     // A repair result carries the generation `commit_repair` checks.
     let _: fn(&RepairResult) -> u64 = |result| result.generation;
 };
@@ -122,23 +125,36 @@ fn _contracts() {
     fn std_error<T: std::error::Error>() {}
     send_sync::<Engine>();
     send_sync::<EngineConfig>();
-    send_sync::<PreparedQuery>();
     send::<Session>();
     std_error::<Error>();
 }
 
-/// `From` conversions into the unified error (compile-time check).
+/// `From` conversions into the unified error (compile-time check), and its
+/// variant set: the match is exhaustive without a wildcard, so adding or
+/// removing a variant breaks this file.
 fn _error_conversions() {
-    fn from_sql(e: cfd_sql::SqlError) -> Error {
-        e.into()
-    }
     fn from_relation(e: cfd_relation::RelationError) -> Error {
         e.into()
     }
     fn from_rules(e: cfd_core::CfdError) -> Error {
         e.into()
     }
-    let _ = (from_sql, from_relation, from_rules);
+    fn from_store(e: cfd::StoreError) -> Error {
+        e.into()
+    }
+    fn variants(e: &Error) {
+        match e {
+            Error::Rules(_)
+            | Error::InconsistentRules
+            | Error::Config(_)
+            | Error::SchemaMismatch { .. }
+            | Error::StaleResult { .. }
+            | Error::WorkerPanicked
+            | Error::Relation(_)
+            | Error::Store(_) => {}
+        }
+    }
+    let _ = (from_relation, from_rules, from_store, variants);
 }
 
 /// A documented-lifecycle smoke run: the quickstart flow compiles and works

@@ -3,8 +3,7 @@
 //! Independent implementations compute the Section 4 violation sets:
 //!
 //! 1. [`DirectDetector`] — the single-threaded scan over the one kernel;
-//! 2. the SQL `QC`/`QV` query pair ([`Detector::detect`]), per CFD and
-//!    spread over threads ([`Detector::detect_set_parallel`]);
+//! 2. the SQL `QC`/`QV` query pair ([`Detector::detect`]), per CFD;
 //! 3. the merged-tableaux SQL path ([`Detector::detect_set_merged`], the
 //!    Section 4.2 `CASE`-masked single query pair);
 //! 4. [`ShardedDetector`] — hash-partitioned parallel detection;
@@ -15,8 +14,8 @@
 //!    over an in-memory relation **and** over a disk-backed store (the same
 //!    kernel fed page chunks through a small buffer pool).
 //!
-//! The SQL paths are the paper's reproduction, reached through [`Detector`]
-//! directly — they are a differential reference, not a serving engine.
+//! The SQL paths are the paper's reproduction, reached through `cfd-sql`'s
+//! [`Detector`] directly — a differential reference, not a serving engine.
 //!
 //! On dozens of seeded randomized workloads (deterministic xoshiro256++
 //! [`StdRng`], varying size, noise, constants ratio, tableau size and CFD
@@ -42,9 +41,10 @@ use cfd_core::{Cfd, CfdSet, PatternTableau, PatternTuple, PatternValue};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::rng::StdRng;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::{BatchOp, Detector, DetectorKind, DirectDetector, ShardedDetector, Violations};
+use cfd_detect::{BatchOp, DetectorKind, DirectDetector, ShardedDetector, Violations};
 use cfd_relation::{Relation, Schema, Tuple, Value};
 use cfd_repair::{RepairConfig, RepairKind, RepairResult, Repairer};
+use cfd_sql::Detector;
 use std::sync::Arc;
 
 /// Typed equality (catches value-type divergences Display would erase) plus
@@ -255,8 +255,8 @@ fn assert_parallel_repair_identical(cfds: &[Cfd], rel: &Relation, label: &str) -
     sequential
 }
 
-/// Set-level agreement: the per-CFD paths (SQL sequential and parallel
-/// included) byte-identically, the merged SQL path on its documented
+/// Set-level agreement: the per-CFD paths (SQL included)
+/// byte-identically, the merged SQL path on its documented
 /// guarantee — `QV` keys over the merged `X` union, so only its `QC`
 /// component and its emptiness are comparable on multi-CFD sets.
 fn assert_paths_agree_on_set(cfds: &[Cfd], rel: &Relation, label: &str) {
@@ -266,14 +266,6 @@ fn assert_paths_agree_on_set(cfds: &[Cfd], rel: &Relation, label: &str) {
         .detect_set(cfds, Arc::clone(&shared))
         .unwrap();
     assert_identical(&sql, &direct, &format!("{label}: SQL set"));
-    let sql_parallel = Detector::new()
-        .detect_set_parallel(cfds, Arc::clone(&shared), 3)
-        .unwrap();
-    assert_identical(
-        &sql_parallel,
-        &direct,
-        &format!("{label}: parallel SQL set"),
-    );
     let sharded = ShardedDetector::new(4).detect_set(cfds, rel);
     assert_identical(&sharded, &direct, &format!("{label}: sharded set"));
     let merged = Detector::new()

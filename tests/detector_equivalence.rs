@@ -10,9 +10,9 @@ use cfd_core::{Cfd, PatternTableau, PatternTuple, PatternValue};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::rng::StdRng;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
-use cfd_detect::{Detector, DirectDetector, Violations};
+use cfd_detect::{DirectDetector, Violations};
 use cfd_relation::{Relation, Schema, Tuple, Value};
-use cfd_sql::Strategy as SqlStrategy;
+use cfd_sql::{Detector, Strategy as SqlStrategy};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -253,27 +253,5 @@ fn query_size_independent_of_tableau() {
         assert_eq!(qc.where_clause.unwrap().atom_count(), expected_qc_atoms);
         assert_eq!(qv.where_clause.unwrap().atom_count(), cfd.lhs().len() * 3);
         assert_eq!(qv.group_by.len(), cfd.lhs().len());
-    }
-}
-
-/// Parallel set detection returns exactly the same report as serial.
-#[test]
-fn parallel_equals_serial() {
-    let mut rng = StdRng::seed_from_u64(0x9A9A);
-    for case in 0..CASES {
-        let rel = random_relation(&mut rng);
-        let cfds = vec![
-            random_cfd(&mut rng),
-            random_cfd(&mut rng),
-            random_cfd(&mut rng),
-        ];
-        let shared = Arc::new(rel);
-        let serial = Detector::new()
-            .detect_set(&cfds, Arc::clone(&shared))
-            .unwrap();
-        let parallel = Detector::new()
-            .detect_set_parallel(&cfds, Arc::clone(&shared), 3)
-            .unwrap();
-        assert_eq!(serial, parallel, "case {case}");
     }
 }

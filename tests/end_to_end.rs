@@ -1,12 +1,13 @@
 //! End-to-end pipeline tests on the tax-records workload:
-//! generate → reason about Σ → detect (SQL, merged, parallel) → repair →
-//! re-detect, plus discovery on clean data.
+//! generate → reason about Σ → detect (SQL per-CFD, SQL merged, direct) →
+//! repair → re-detect, plus discovery on clean data.
 
 use cfd::prelude::*;
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
 use cfd_detect::DirectDetector;
 use cfd_discovery::{discover_constant_cfds, DiscoveryConfig};
+use cfd_sql::Detector;
 use std::sync::Arc;
 
 fn workload_cfds() -> Vec<Cfd> {
@@ -84,7 +85,7 @@ fn workload_constraint_set_is_consistent_and_coverable() {
 }
 
 #[test]
-fn merged_parallel_and_direct_detection_agree_on_findings() {
+fn per_cfd_merged_and_direct_detection_agree_on_findings() {
     let cfds = workload_cfds();
     let noisy = TaxGenerator::new(TaxConfig {
         size: 1_200,
@@ -100,12 +101,8 @@ fn merged_parallel_and_direct_detection_agree_on_findings() {
     let merged = detector
         .detect_set_merged(&cfds, Arc::clone(&shared))
         .unwrap();
-    let parallel = detector
-        .detect_set_parallel(&cfds, Arc::clone(&shared), 4)
-        .unwrap();
     let direct = DirectDetector::new().detect_set(&cfds, &noisy);
 
-    assert_eq!(per_cfd, parallel);
     assert_eq!(per_cfd, direct);
     assert_eq!(per_cfd.constant_violations(), merged.constant_violations());
     assert_eq!(per_cfd.is_clean(), merged.is_clean());

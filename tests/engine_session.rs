@@ -8,6 +8,7 @@ use cfd_datagen::cust::{fig2_cfd_set, phi2};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
 use cfd_relation::AttrId;
+use cfd_sql::Detector;
 use std::sync::Arc;
 
 fn tax_cfds(seed: u64) -> Vec<Cfd> {
@@ -66,18 +67,14 @@ fn session_detect_matches_one_shot_for_every_detector_kind() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    // The paper's SQL query pairs — reached through `Detector`, not through
-    // a session — against the same oracle: per-CFD and parallel byte for
+    // The paper's SQL query pairs — reached through `cfd_sql::Detector`,
+    // not through a session — against the same oracle: per-CFD byte for
     // byte, merged on its documented guarantee (`QV` keys over the merged
     // `X` union: identical `QC` component, agreeing emptiness).
     let oracle = DetectorKind::Direct.detect_set(&cfds, &data);
     let sql = Detector::new();
     let per_cfd = sql.detect_set(&cfds, Arc::clone(&data)).unwrap();
     assert_eq!(per_cfd.canonical_bytes(), oracle.canonical_bytes());
-    let parallel = sql
-        .detect_set_parallel(&cfds, Arc::clone(&data), 3)
-        .unwrap();
-    assert_eq!(parallel.canonical_bytes(), oracle.canonical_bytes());
     let merged = sql.detect_set_merged(&cfds, Arc::clone(&data)).unwrap();
     assert_eq!(merged.constant_violations(), oracle.constant_violations());
     assert_eq!(merged.is_clean(), oracle.is_clean());

@@ -6,8 +6,8 @@
 use cfd::prelude::*;
 use cfd_core::NormalCfd;
 use cfd_datagen::cust::{phi1, phi2, phi3, phi3_with_fd, phi5};
-use cfd_detect::MergedTableaux;
 use cfd_relation::Schema as RSchema;
+use cfd_sql::{Detector, MergedTableaux};
 use std::sync::Arc;
 
 #[test]

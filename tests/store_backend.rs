@@ -6,13 +6,18 @@
 //! kill-and-recover harness (a child process `abort()`ed mid-stream must
 //! recover to a byte-identical report).
 
+mod common;
+
 use cfd::prelude::*;
 use cfd::{RepairKind, StorageConfig};
 use cfd_datagen::cust::{cust_instance, fig2_cfd_set};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
+use cfd_datagen::rng::StdRng;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
 use cfd_detect::DirectDetector;
 use cfd_relation::Relation;
+use cfd_sql::Detector;
+use common::{random_batch, random_cfd, random_tuple};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -383,6 +388,131 @@ fn a_stale_repair_result_is_refused_on_both_backings() {
         drop(session);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The stateful model test: one disk session against one in-memory session
+/// as the model, through random interleavings of everything a session can do
+/// to its instance — mixed batches (duplicate inserts, deletes of duplicates
+/// and of absent tuples), report-less `ingest`, `repair` + `commit_repair`,
+/// a malformed batch both sides must refuse, `checkpoint`, clean reopen and
+/// crash reopen (the session is leaked, so nothing is flushed and only the
+/// WAL carries the commits since the last checkpoint). The rules come from
+/// the stream tests' generator, `@` cells included. After **every** step the
+/// two sessions must be indistinguishable: same report bytes, same snapshot
+/// **row for row** (so `modifications[].row`, `Explanation::rows` and
+/// positional weights mean the same tuple on both backings — a delete by
+/// value retires the *latest* duplicate on both), same repair plan, same
+/// length, and exactly one durable commit per successful write.
+#[test]
+fn a_disk_session_tracks_the_memory_model_through_random_interleavings() {
+    let dir = scratch_dir("model");
+    for seed in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(0x4D0D_E100 + seed);
+        let _ = std::fs::remove_dir_all(&dir);
+        // A small pool and WAL budget: pages are evicted and checkpoints
+        // trigger from inside commits, not only from the explicit steps.
+        let config = EngineConfig::builder()
+            .storage(StorageConfig {
+                pool_pages: 3,
+                wal_checkpoint_bytes: 1 << 11,
+            })
+            .build()
+            .unwrap();
+        // The builder refuses inconsistent rule sets; draw until one passes.
+        let engine = loop {
+            let rules = [random_cfd(&mut rng), random_cfd(&mut rng)];
+            if let Ok(engine) = Engine::builder()
+                .rules(rules)
+                .config(config.clone())
+                .build()
+            {
+                break engine;
+            }
+        };
+        let mut memory = engine
+            .session(Arc::new(Relation::new(common::schema())))
+            .unwrap();
+        let mut disk = engine.session_on_disk(&dir).unwrap();
+        let mut commits = 0u64;
+
+        for step in 0..40 {
+            let at = format!("seed {seed}, step {step}");
+            let mut live = memory.snapshot().unwrap().to_tuples();
+            match rng.gen_range(0usize..100) {
+                // A mixed batch, with or without a report.
+                kind @ 0..=54 => {
+                    let mut ops = Vec::new();
+                    if !live.is_empty() && rng.gen_bool(0.5) {
+                        let twin = live[rng.gen_range(0..live.len())].clone();
+                        ops.push(BatchOp::Insert(twin.clone()));
+                        live.push(twin);
+                    }
+                    ops.extend(random_batch(&mut rng, &mut live));
+                    let absent = random_tuple(&mut rng);
+                    if !live.contains(&absent) {
+                        ops.push(BatchOp::Delete(absent));
+                    }
+                    let want = memory.apply_batch(&ops).unwrap();
+                    if kind < 40 {
+                        let got = disk.apply_batch(&ops).unwrap();
+                        assert_eq!(got.canonical_bytes(), want.canonical_bytes(), "{at}");
+                    } else {
+                        disk.ingest(&ops).unwrap();
+                    }
+                    commits += 1;
+                }
+                55..=69 => {
+                    let plan = memory.repair(RepairKind::EquivClass).unwrap();
+                    let want = memory.commit_repair(&plan).unwrap();
+                    let plan = disk.repair(RepairKind::EquivClass).unwrap();
+                    let got = disk.commit_repair(&plan).unwrap();
+                    assert_eq!(got.canonical_bytes(), want.canonical_bytes(), "{at}");
+                    commits += 1;
+                }
+                // A wrong-arity op behind a valid one: refused whole.
+                70..=76 => {
+                    let ops = [
+                        BatchOp::Insert(random_tuple(&mut rng)),
+                        BatchOp::Delete(Tuple::nulls(3)),
+                    ];
+                    for session in [&mut memory, &mut disk] {
+                        let err = session.apply_batch(&ops).unwrap_err();
+                        assert!(matches!(err, Error::Relation(_)), "{at}: got {err:?}");
+                    }
+                    assert!(matches!(disk.ingest(&ops), Err(Error::Relation(_))), "{at}");
+                }
+                77..=84 => disk.checkpoint().unwrap(),
+                kind => {
+                    if kind < 93 {
+                        drop(disk);
+                    } else {
+                        std::mem::forget(disk);
+                    }
+                    disk = engine.session_on_disk(&dir).unwrap();
+                }
+            }
+
+            assert_eq!(disk.committed_batches(), Some(commits), "{at}");
+            assert_eq!(disk.len(), memory.len(), "{at}");
+            assert_eq!(
+                disk.detect().unwrap().canonical_bytes(),
+                memory.detect().unwrap().canonical_bytes(),
+                "{at}"
+            );
+            assert_eq!(
+                disk.snapshot().unwrap().to_tuples(),
+                memory.snapshot().unwrap().to_tuples(),
+                "{at}: snapshots must agree row for row"
+            );
+            assert_eq!(
+                disk.repair(RepairKind::EquivClass).unwrap().modifications,
+                memory.repair(RepairKind::EquivClass).unwrap().modifications,
+                "{at}"
+            );
+        }
+        drop(disk);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Acceptance: detect + repair on a workload more than 10× the buffer-pool
