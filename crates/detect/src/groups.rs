@@ -5,8 +5,9 @@
 //! [`cfd_relation::Index`] evaluates them here: index-driven detection
 //! ([`detect_with_index`](crate::detect_with_index)), group re-checking
 //! ([`recheck_lhs_keys`](crate::recheck_lhs_keys), and through it the class
-//! repair engine), the facade's `Session::explain` ([`group_witnesses`]) and
-//! the stream detector ([`IncrementalDetector`](crate::IncrementalDetector)). The
+//! repair engine) and the facade's `Session::explain` ([`group_witnesses`]).
+//! The maintained report ([`ViolationState`](crate::ViolationState)) matches
+//! keys and decides `QC` here too, member by member from their cells. The
 //! hash-grouped counterpart is the block kernel in [`kernels`](crate::kernels).
 //!
 //! # Semantics of one group
@@ -46,7 +47,9 @@ pub(crate) fn values(ids: &[ValueId]) -> Vec<Value> {
 /// key, add its members, read the facts. Buffers are reused across groups.
 pub(crate) struct GroupEval<'a> {
     cfd: &'a Cfd,
-    rel: &'a Relation,
+    /// The relation [`GroupEval::add_row`] reads members from; `None` for
+    /// an evaluator fed cells only ([`GroupEval::cells`]).
+    rel: Option<&'a Relation>,
     ycols: Vec<&'a [ValueId]>,
     /// Tableau rows matching the current key.
     matched: Vec<usize>,
@@ -62,9 +65,19 @@ pub(crate) struct GroupEval<'a> {
 impl<'a> GroupEval<'a> {
     pub(crate) fn new(cfd: &'a Cfd, rel: &'a Relation) -> Self {
         GroupEval {
-            cfd,
-            rel,
+            rel: Some(rel),
             ycols: rel.columns_for(cfd.rhs()),
+            ..GroupEval::cells(cfd)
+        }
+    }
+
+    /// An evaluator whose members are handed over by their cells
+    /// ([`GroupEval::add_cells`]), never read from a relation.
+    pub(crate) fn cells(cfd: &'a Cfd) -> Self {
+        GroupEval {
+            cfd,
+            rel: None,
+            ycols: Vec::new(),
             matched: Vec::new(),
             first: Vec::new(),
             last: Vec::new(),
@@ -86,8 +99,8 @@ impl<'a> GroupEval<'a> {
         !self.matched.is_empty()
     }
 
-    /// Adds the relation row `row` to the group; `true` once the group holds
-    /// more than one distinct `Y`.
+    /// Adds row `row` of the relation given to [`GroupEval::new`] to the
+    /// group; `true` once the group holds more than one distinct `Y`.
     pub(crate) fn add_row(&mut self, row: usize) -> bool {
         project_cols_into(&self.ycols, row, &mut self.last);
         self.added()
@@ -119,16 +132,6 @@ impl<'a> GroupEval<'a> {
         self.matched.iter().copied().filter(violates)
     }
 
-    /// The bare `QV` verdict: whether the group `key` over `rows` holds more
-    /// than one distinct `Y` (stops at the second).
-    pub(crate) fn is_multi(
-        &mut self,
-        key: &[ValueId],
-        rows: impl IntoIterator<Item = usize>,
-    ) -> bool {
-        self.begin(key) && rows.into_iter().any(|row| self.add_row(row))
-    }
-
     /// Walks the whole group `key` over `rows`, handing every `QC` violator
     /// to `violator`; returns the `QV` verdict.
     pub(crate) fn fold(
@@ -154,7 +157,7 @@ impl<'a> GroupEval<'a> {
     pub(crate) fn report(&mut self, key: &[ValueId], rows: &[usize], out: &mut Violations) {
         let rel = self.rel;
         let violator = |row| {
-            if let Some(tuple) = rel.row(row) {
+            if let Some(tuple) = rel.and_then(|rel| rel.row(row)) {
                 out.add_constant_violation(tuple.to_values());
             }
         };
@@ -218,9 +221,8 @@ pub fn group_witnesses(
 /// The maintained state of one CFD: an [`Index`] over its LHS kept in sync
 /// with an evolving instance, plus the keys of the groups dirtied since the
 /// last [`LhsGroups::drain_dirty`] — the only groups whose violations can
-/// have changed. The stream detector and the class repair engine both
-/// maintain their instance through this type and re-evaluate what it hands
-/// back.
+/// have changed. The class repair engine maintains its instance through this
+/// type and re-evaluates what it hands back.
 #[derive(Debug)]
 pub struct LhsGroups {
     index: Index,

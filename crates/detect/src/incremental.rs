@@ -4,14 +4,23 @@
 //! cleaning pipeline the instance *evolves*: tuples arrive and are retired in
 //! batches, and re-running the full query pair on every batch wastes a pass
 //! over data whose status cannot have changed. This module provides the
-//! natural incremental engine (an extension beyond the paper): an
-//! [`IncrementalDetector`] owns the current instance together with one
-//! [`LhsGroups`] per CFD — the maintained LHS index and the keys its edits
-//! dirtied — plus the `QC` violators and `QV` keys currently reported, and
-//! maintains exactly the violations a from-scratch
-//! [`DirectDetector`](crate::DirectDetector) run would report at the cost of
-//! re-evaluating only the groups an edit lands in. How a group is evaluated
-//! is stated once, in [`groups`](crate::groups).
+//! natural incremental engine (an extension beyond the paper) in two parts:
+//!
+//! * [`ViolationState`] — the maintained report, **slot-free**. Per CFD it
+//!   keeps, for every LHS key some pattern row matches, a live count per
+//!   distinct `Y` projection (the key is a `QV` finding exactly when it has
+//!   two or more), and a live count per `QC`-violating tuple. An insert or a
+//!   delete moves one group's count of one `Y` by one, so the state is
+//!   updated from each edit's own cells — no group is re-walked and no cell
+//!   is read back — and it needs no copy of the instance: a disk-backed
+//!   session keeps one beside its store in `O(groups)` memory. Matching and
+//!   the `QC` verdict go through [`groups`](crate::groups), where the
+//!   semantics of a group are stated once.
+//! * [`IncrementalDetector`] — the in-memory owner of an evolving instance:
+//!   a slot store and a value → live-slots map, which decide whether a
+//!   delete hits and which occurrence it retires, beside one
+//!   `ViolationState`. Its reports equal a from-scratch
+//!   [`DirectDetector`](crate::DirectDetector) run.
 //!
 //! Three entry points mirror the maintenance lifecycle:
 //!
@@ -19,23 +28,26 @@
 //!   the violations of `current ∪ batch` that involve at least one batch
 //!   tuple. Single-tuple (`QC`) violations are checked on the batch alone;
 //!   multi-tuple (`QV`) groups combine the batch **with itself** and with
-//!   the current rows fetched through the index.
+//!   the distinct `Y` values the state holds for the key.
 //! * [`IncrementalDetector::detect_deletions`] — the deletion-side preview:
 //!   the currently-reported violations that deleting the batch would
 //!   *resolve* (deletions never create violations, so the interesting
 //!   question is what they clean up).
 //! * [`IncrementalDetector::apply_batch`] — full batched maintenance: apply
-//!   a mixed insert/delete batch to the owned instance, update the indexes
-//!   and violation state group-locally, and return the complete report of
-//!   the *new* instance — identical to re-detecting from scratch.
+//!   a mixed insert/delete batch to the owned instance, fold the edits into
+//!   the state, and return the complete report of the *new* instance —
+//!   identical to re-detecting from scratch.
 //!
-//! The engine does not require the instance to be clean: construction scans
-//! the initial relation once and carries any pre-existing violations forward.
+//! The engine does not require the instance to be clean: construction folds
+//! the initial relation in once and carries any pre-existing violations
+//! forward.
 
-use crate::groups::{values, GroupEval, LhsGroups};
+use crate::groups::{values, GroupEval};
 use crate::report::Violations;
 use cfd_core::Cfd;
-use cfd_relation::{project_attrs, Relation, RelationError, Schema, Tuple, ValueId};
+use cfd_relation::{
+    project_attrs, project_cols_into, Relation, RelationError, Schema, Tuple, ValueId,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One edit of a mixed maintenance batch (see
@@ -58,82 +70,352 @@ impl BatchOp {
     }
 }
 
-/// Per-CFD incremental state: the maintained LHS groups and the current
-/// violation summary.
-#[derive(Debug)]
-struct CfdState {
-    groups: LhsGroups,
-    /// Full cell vectors of the live `QC`-violating tuples.
-    qc: HashSet<Vec<ValueId>>,
-    /// LHS keys of the groups holding more than one distinct `Y`.
+/// Live counts keyed by interned cells.
+type Counts = HashMap<Vec<ValueId>, usize>;
+
+/// Moves the count of `key` one up (`arrive`) or one down, dropping it at 0.
+fn bump(counts: &mut Counts, key: &[ValueId], arrive: bool) {
+    match counts.get_mut(key) {
+        Some(n) if arrive => *n += 1,
+        Some(n) if *n > 1 => *n -= 1,
+        Some(_) => {
+            counts.remove(key);
+        }
+        None if arrive => {
+            counts.insert(key.to_vec(), 1);
+        }
+        None => {}
+    }
+}
+
+/// Live members per distinct `Y` projection of one group.
+type Ys = Vec<(Vec<ValueId>, usize)>;
+
+/// Moves the member count of `y` one up (`arrive`) or one down, dropping it
+/// at 0.
+fn tally(ys: &mut Ys, y: &[ValueId], arrive: bool) {
+    match ys.iter().position(|(seen, _)| seen == y) {
+        Some(i) if arrive => ys[i].1 += 1,
+        Some(i) if ys[i].1 > 1 => ys[i].1 -= 1,
+        Some(i) => {
+            ys.swap_remove(i);
+        }
+        None if arrive => ys.push((y.to_vec(), 1)),
+        None => {}
+    }
+}
+
+/// The maintained `QC`/`QV` state of one CFD.
+#[derive(Debug, Default)]
+struct CfdCounts {
+    /// Per LHS key some pattern row matches: its live members per distinct
+    /// `Y` projection (`cfd.rhs()` order).
+    groups: HashMap<Vec<ValueId>, Ys>,
+    /// The keys of `groups` with two or more distinct `Y` — the `QV`
+    /// findings, kept apart so a report costs `O(violations)`.
     multi: HashSet<Vec<ValueId>>,
+    /// Live occurrences per `QC`-violating full tuple.
+    qc: Counts,
+}
+
+impl CfdCounts {
+    /// Edits the distinct-`Y` counts of group `key` (empty when new),
+    /// keeping `groups` free of empty groups and `multi` in step.
+    fn edit_group(&mut self, key: &[ValueId], edit: impl FnOnce(&mut Ys)) {
+        let ys = match self.groups.get_mut(key) {
+            Some(ys) => ys,
+            None => self.groups.entry(key.to_vec()).or_default(),
+        };
+        let before = ys.len();
+        edit(ys);
+        let after = ys.len();
+        if after == 0 {
+            self.groups.remove(key);
+        }
+        match (before > 1, after > 1) {
+            (false, true) => {
+                self.multi.insert(key.to_vec());
+            }
+            (true, false) => {
+                self.multi.remove(key);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The maintained violation report of an evolving instance, **slot-free**
+/// (see the [module docs](self)): per CFD, live counts per distinct `Y` of
+/// every matched LHS group and live counts per `QC`-violating tuple. It is
+/// fed the cells of the tuples that arrive and leave — never reads the
+/// instance back — so it serves the in-memory [`IncrementalDetector`] and a
+/// disk-backed session alike, in `O(groups)` memory.
+#[derive(Debug)]
+pub struct ViolationState {
+    arity: usize,
+    cfds: Vec<Cfd>,
+    counts: Vec<CfdCounts>,
+}
+
+impl ViolationState {
+    /// The state of an empty instance of `arity` attributes under `cfds`.
+    pub fn new(arity: usize, cfds: Vec<Cfd>) -> Self {
+        let counts = cfds.iter().map(|_| CfdCounts::default()).collect();
+        ViolationState {
+            arity,
+            cfds,
+            counts,
+        }
+    }
+
+    /// Counts every row of `rel` (of the instance's schema) in as an
+    /// arrival — how a state is built over an initial instance, whole or a
+    /// chunk at a time. Rows are grouped through one LHS index per CFD, so
+    /// each key is matched against the tableau once.
+    pub fn extend(&mut self, rel: &Relation) {
+        for (cfd, counts) in self.cfds.iter().zip(&mut self.counts) {
+            let index = rel.build_index(cfd.lhs());
+            let ycols = rel.columns_for(cfd.rhs());
+            let (mut eval, mut y, mut violators) = (GroupEval::cells(cfd), Vec::new(), Vec::new());
+            for (key, rows) in index.iter() {
+                if !eval.begin(key) {
+                    continue;
+                }
+                violators.clear();
+                counts.edit_group(key, |ys| {
+                    for &row in rows {
+                        project_cols_into(&ycols, row, &mut y);
+                        eval.add_cells(&y);
+                        if eval.violated().next().is_some() {
+                            violators.push(row);
+                        }
+                        tally(ys, &y, true);
+                    }
+                });
+                for row in violators.iter().filter_map(|&row| rel.row(row)) {
+                    bump(&mut counts.qc, &row.to_ids(), true);
+                }
+            }
+        }
+    }
+
+    /// Folds in the ops of a batch its owner has applied: `applied[i]`
+    /// says whether op `i` changed the instance (every insert does, a delete
+    /// only when it retired a live occurrence). Ops of another arity are
+    /// skipped — every owner refuses them before applying anything.
+    pub fn apply(&mut self, ops: &[BatchOp], applied: &[bool]) {
+        let arity = self.arity;
+        let edits: Vec<&BatchOp> = ops
+            .iter()
+            .zip(applied)
+            .filter(|&(op, &hit)| hit && op.tuple().arity() == arity)
+            .map(|(op, _)| op)
+            .collect();
+        for (cfd, counts) in self.cfds.iter().zip(&mut self.counts) {
+            let mut eval = GroupEval::cells(cfd);
+            for op in &edits {
+                let cells = op.tuple().ids();
+                let key = project_attrs(cells, cfd.lhs());
+                if !eval.begin(&key) {
+                    continue;
+                }
+                let y = project_attrs(cells, cfd.rhs());
+                let arrive = matches!(op, BatchOp::Insert(_));
+                eval.add_cells(&y);
+                if eval.violated().next().is_some() {
+                    bump(&mut counts.qc, cells, arrive);
+                }
+                counts.edit_group(&key, |ys| tally(ys, &y, arrive));
+            }
+        }
+    }
+
+    /// The complete violation report of the current instance — what a
+    /// from-scratch [`DirectDetector::detect_set`](crate::DirectDetector)
+    /// over it would return.
+    pub fn violations(&self) -> Violations {
+        let mut out = Violations::new();
+        for counts in &self.counts {
+            for cells in counts.qc.keys() {
+                out.add_constant_violation(values(cells));
+            }
+            for key in &counts.multi {
+                out.add_multi_tuple_key(values(key));
+            }
+        }
+        out
+    }
+
+    /// Rejects the first of `tuples` whose arity is not the instance's, with
+    /// the error every write path of the workspace returns for it.
+    pub fn check_arity<'t>(
+        &self,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+    ) -> Result<(), RelationError> {
+        let expected = self.arity;
+        let bad = tuples.into_iter().find(|t| t.arity() != expected);
+        bad.map_or(Ok(()), |t| {
+            let got = t.arity();
+            Err(RelationError::ArityMismatch { expected, got })
+        })
+    }
+
+    /// The violations of `current ∪ batch` that involve at least one batch
+    /// tuple (see [`IncrementalDetector::detect_insertions`]).
+    ///
+    /// Errors if any tuple's arity differs from the instance's.
+    pub fn preview_insertions(&self, batch: &[Tuple]) -> Result<Violations, RelationError> {
+        self.check_arity(batch)?;
+        let mut out = Violations::new();
+        for (cfd, counts) in self.cfds.iter().zip(&self.counts) {
+            // Group the batch by LHS key; each group is the batch members
+            // (the only `QC` candidates) followed by the distinct `Y` values
+            // the key already holds.
+            let mut members: BTreeMap<Vec<ValueId>, Vec<&Tuple>> = BTreeMap::new();
+            for tuple in batch {
+                let key = tuple.project_ids(cfd.lhs());
+                members.entry(key).or_default().push(tuple);
+            }
+            let mut eval = GroupEval::cells(cfd);
+            for (key, members) in &members {
+                if !eval.begin(key) {
+                    continue;
+                }
+                let mut multi = false;
+                for tuple in members {
+                    multi = eval.add_cells(&tuple.project_ids(cfd.rhs()));
+                    if eval.violated().next().is_some() {
+                        out.add_constant_violation(tuple.to_values());
+                    }
+                }
+                let mut current = counts.groups.get(key).into_iter().flatten();
+                if multi || current.any(|(y, _)| eval.add_cells(y)) {
+                    out.add_multi_tuple_key(values(key));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The current violations that retiring the live occurrences `retired`
+    /// (full cells, one entry per occurrence, as the instance's owner
+    /// resolved them) would **resolve** (see
+    /// [`IncrementalDetector::detect_deletions`]).
+    pub fn preview_deletions(&self, retired: &[&[ValueId]]) -> Violations {
+        let mut taken: HashMap<&[ValueId], usize> = HashMap::new();
+        for &cells in retired {
+            *taken.entry(cells).or_insert(0) += 1;
+        }
+
+        // The merged report of `current \ retired`: a `QC` entry survives
+        // while live occurrences remain; a `QV` key the retirement does not
+        // touch carries over, a touched one survives while two of its
+        // distinct `Y` keep live members.
+        let mut after = Violations::new();
+        for (cfd, counts) in self.cfds.iter().zip(&self.counts) {
+            for (cells, &live) in &counts.qc {
+                if live > taken.get(cells.as_slice()).copied().unwrap_or(0) {
+                    after.add_constant_violation(values(cells));
+                }
+            }
+            let mut lost: HashMap<Vec<ValueId>, Vec<(Vec<ValueId>, usize)>> = HashMap::new();
+            for (&cells, &n) in &taken {
+                let key = project_attrs(cells, cfd.lhs());
+                if counts.multi.contains(&key) {
+                    let y = project_attrs(cells, cfd.rhs());
+                    lost.entry(key).or_default().push((y, n));
+                }
+            }
+            for key in &counts.multi {
+                let survives = match (lost.get(key), counts.groups.get(key)) {
+                    (None, _) => true,
+                    (Some(lost), Some(ys)) => {
+                        let gone = |y: &[ValueId]| -> usize {
+                            lost.iter().filter(|(g, _)| g == y).map(|(_, n)| n).sum()
+                        };
+                        ys.iter()
+                            .filter(|(y, live)| *live > gone(y))
+                            .nth(1)
+                            .is_some()
+                    }
+                    (Some(_), None) => false,
+                };
+                if survives {
+                    after.add_multi_tuple_key(values(key));
+                }
+            }
+        }
+
+        // Resolved = current merged report − simulated merged report.
+        let before = self.violations();
+        let mut out = Violations::new();
+        for t in before.constant_violations() {
+            if !after.constant_violations().contains(t) {
+                out.add_constant_violation(t.clone());
+            }
+        }
+        for k in before.multi_tuple_keys() {
+            if !after.multi_tuple_keys().contains(k) {
+                out.add_multi_tuple_key(k.clone());
+            }
+        }
+        out
+    }
 }
 
 /// Dead-slot floor below which [`IncrementalDetector`] never compacts:
-/// keeps short streams free of rebuild churn while still bounding a
+/// keeps short streams free of regather churn while still bounding a
 /// long-running engine's memory to `O(live)`.
 const COMPACT_MIN_DEAD: usize = 1024;
+
+/// The live slots of every distinct full cell vector of `store`, in slot
+/// order.
+fn slots_by_value(store: &Relation) -> HashMap<Vec<ValueId>, Vec<usize>> {
+    let mut by_value: HashMap<Vec<ValueId>, Vec<usize>> = HashMap::new();
+    for (slot, row) in store.iter() {
+        by_value.entry(row.to_ids()).or_default().push(slot);
+    }
+    by_value
+}
 
 /// Incremental detection engine owning the evolving instance.
 #[derive(Debug)]
 pub struct IncrementalDetector {
     /// The slot store: a columnar [`Relation`] holding every slot ever
-    /// appended (live and dead); cells are read through its column slices.
+    /// appended (live and dead).
     store: Relation,
-    /// Liveness per slot; slots are append-only within a batch, so index
-    /// posting lists stay valid without renumbering. When dead slots
-    /// outnumber live ones (past [`COMPACT_MIN_DEAD`]), `apply_batch`
-    /// compacts: live rows are gathered column-wise into a fresh store and
-    /// all per-CFD state is rebuilt, so memory tracks the live size rather
-    /// than total inserts ever seen.
+    /// Liveness per slot. When dead slots outnumber live ones (past
+    /// [`COMPACT_MIN_DEAD`]), `apply_batch` compacts: live rows are
+    /// gathered column-wise into a fresh store, so memory tracks the live
+    /// size rather than total inserts ever seen. The report state is
+    /// slot-free and survives compaction untouched.
     alive: Vec<bool>,
     live: usize,
     /// Full cell vector → live slots, for bag-semantics deletion by value.
     by_value: HashMap<Vec<ValueId>, Vec<usize>>,
-    cfds: Vec<Cfd>,
-    states: Vec<CfdState>,
+    state: ViolationState,
 }
 
 impl IncrementalDetector {
-    /// Builds the engine over an initial instance, indexing it once per CFD
-    /// and computing its current violation state. The instance does **not**
-    /// have to be clean; pre-existing violations are reported alongside
-    /// stream-induced ones. The relation is taken over as the engine's slot
-    /// store — no copy (this is also the compaction path).
+    /// Builds the engine over an initial instance, folding it into the
+    /// report state once. The instance does **not** have to be clean;
+    /// pre-existing violations are reported alongside stream-induced ones.
+    /// The relation is taken over as the engine's slot store — no copy.
     pub fn new(base: Relation, cfds: Vec<Cfd>) -> Self {
-        let mut by_value: HashMap<Vec<ValueId>, Vec<usize>> = HashMap::new();
-        for (slot, row) in base.iter() {
-            by_value.entry(row.to_ids()).or_default().push(slot);
-        }
-        let states = cfds
-            .iter()
-            .map(|cfd| {
-                let groups = LhsGroups::build(cfd, &base);
-                let mut eval = GroupEval::new(cfd, &base);
-                let (mut qc, mut multi) = (HashSet::new(), HashSet::new());
-                for (key, slots) in groups.index().iter() {
-                    let violator = |slot| qc.extend(base.row(slot).map(|row| row.to_ids()));
-                    if eval.fold(key, slots, violator) {
-                        multi.insert(key.clone());
-                    }
-                }
-                CfdState { groups, qc, multi }
-            })
-            .collect();
-        let live = base.len();
+        let mut state = ViolationState::new(base.schema().arity(), cfds);
+        state.extend(&base);
         IncrementalDetector {
+            alive: vec![true; base.len()],
+            live: base.len(),
+            by_value: slots_by_value(&base),
             store: base,
-            alive: vec![true; live],
-            live,
-            by_value,
-            cfds,
-            states,
+            state,
         }
     }
 
     /// The CFDs being enforced.
     pub fn cfds(&self) -> &[Cfd] {
-        &self.cfds
+        &self.state.cfds
     }
 
     /// Number of live tuples in the maintained instance.
@@ -155,16 +437,7 @@ impl IncrementalDetector {
     /// from-scratch [`DirectDetector::detect_set`](crate::DirectDetector)
     /// over [`IncrementalDetector::current_relation`] would return.
     pub fn violations(&self) -> Violations {
-        let mut out = Violations::new();
-        for state in &self.states {
-            for cells in &state.qc {
-                out.add_constant_violation(values(cells));
-            }
-            for key in &state.multi {
-                out.add_multi_tuple_key(values(key));
-            }
-        }
-        out
+        self.state.violations()
     }
 
     /// Materializes the current instance (live rows, insertion order) by a
@@ -175,20 +448,6 @@ impl IncrementalDetector {
         self.store.gather_rows(&live.collect::<Vec<_>>())
     }
 
-    /// Rejects the first of `tuples` whose arity is not the instance's, with
-    /// the error every write path of the workspace returns for it.
-    fn check_arity<'t>(
-        &self,
-        tuples: impl IntoIterator<Item = &'t Tuple>,
-    ) -> Result<(), RelationError> {
-        let expected = self.store.schema().arity();
-        let bad = tuples.into_iter().find(|t| t.arity() != expected);
-        bad.map_or(Ok(()), |t| {
-            let got = t.arity();
-            Err(RelationError::ArityMismatch { expected, got })
-        })
-    }
-
     /// Detects all violations of `current ∪ batch` that involve at least one
     /// batch tuple, without modifying the engine. Conflicts **among batch
     /// tuples** are reported the same as batch-vs-current conflicts: the
@@ -196,36 +455,7 @@ impl IncrementalDetector {
     ///
     /// Errors if any tuple's arity differs from the instance schema.
     pub fn detect_insertions(&self, batch: &[Tuple]) -> Result<Violations, RelationError> {
-        self.check_arity(batch)?;
-        let mut out = Violations::new();
-        for (cfd, state) in self.cfds.iter().zip(&self.states) {
-            // Group the batch by LHS key; each group is the batch members
-            // (the only `QC` candidates) followed by the live rows sharing
-            // the key, fetched through the maintained index.
-            let mut members: BTreeMap<Vec<ValueId>, Vec<&Tuple>> = BTreeMap::new();
-            for tuple in batch {
-                let key = tuple.project_ids(cfd.lhs());
-                members.entry(key).or_default().push(tuple);
-            }
-            let mut eval = GroupEval::new(cfd, &self.store);
-            for (key, members) in &members {
-                if !eval.begin(key) {
-                    continue;
-                }
-                let mut multi = false;
-                for tuple in members {
-                    multi = eval.add_cells(&tuple.project_ids(cfd.rhs()));
-                    if eval.violated().next().is_some() {
-                        out.add_constant_violation(tuple.to_values());
-                    }
-                }
-                let mut slots = state.groups.index().lookup_ids(key).iter();
-                if multi || slots.any(|&slot| eval.add_row(slot)) {
-                    out.add_multi_tuple_key(values(key));
-                }
-            }
-        }
-        Ok(out)
+        self.state.preview_insertions(batch)
     }
 
     /// The violations of the current instance that deleting `batch` (bag
@@ -242,165 +472,89 @@ impl IncrementalDetector {
     ///
     /// Errors if any tuple's arity differs from the instance schema.
     pub fn detect_deletions(&self, batch: &[Tuple]) -> Result<Violations, RelationError> {
-        self.check_arity(batch)?;
-        // The slots the batch would retire: per listed tuple one live
-        // occurrence, latest first (deleting an absent tuple is a no-op).
-        let mut doomed: HashSet<usize> = HashSet::new();
+        self.state.check_arity(batch)?;
+        // Per listed tuple one live occurrence; deleting an absent tuple is
+        // a no-op.
         let mut taken: HashMap<&[ValueId], usize> = HashMap::new();
+        let mut retired = Vec::new();
         for tuple in batch {
-            let Some(slots) = self.by_value.get(tuple.ids()) else {
-                continue;
-            };
+            let live = self.by_value.get(tuple.ids()).map_or(0, Vec::len);
             let taken = taken.entry(tuple.ids()).or_insert(0);
-            if let Some(&slot) = slots.iter().rev().nth(*taken) {
-                doomed.insert(slot);
+            if *taken < live {
                 *taken += 1;
+                retired.push(tuple.ids());
             }
         }
-
-        // The merged report of `current \ batch`: a `QC` entry survives while
-        // live occurrences remain; a violating group the batch does not touch
-        // carries over, a touched one is re-evaluated without the doomed
-        // slots.
-        let mut after = Violations::new();
-        for (cfd, state) in self.cfds.iter().zip(&self.states) {
-            for cells in &state.qc {
-                let live = self.by_value.get(cells).map_or(0, Vec::len);
-                if live > taken.get(cells.as_slice()).copied().unwrap_or(0) {
-                    after.add_constant_violation(values(cells));
-                }
-            }
-            let keys = taken.keys().map(|cells| project_attrs(cells, cfd.lhs()));
-            let touched: HashSet<Vec<ValueId>> = keys.collect();
-            let mut eval = GroupEval::new(cfd, &self.store);
-            for key in &state.multi {
-                let slots = state.groups.index().lookup_ids(key).iter().copied();
-                let left = slots.filter(|slot| !doomed.contains(slot));
-                if !touched.contains(key) || eval.is_multi(key, left) {
-                    after.add_multi_tuple_key(values(key));
-                }
-            }
-        }
-
-        // Resolved = current merged report − simulated merged report.
-        let before = self.violations();
-        let mut out = Violations::new();
-        for t in before.constant_violations() {
-            if !after.constant_violations().contains(t) {
-                out.add_constant_violation(t.clone());
-            }
-        }
-        for k in before.multi_tuple_keys() {
-            if !after.multi_tuple_keys().contains(k) {
-                out.add_multi_tuple_key(k.clone());
-            }
-        }
-        Ok(out)
+        Ok(self.state.preview_deletions(&retired))
     }
 
-    /// Applies a mixed insert/delete batch to the owned instance, updating
-    /// the per-CFD indexes and violation state group-locally, and returns
-    /// the complete violation report of the **new** instance (equal to a
-    /// from-scratch detection run — including conflicts created entirely
-    /// within this batch).
+    /// Applies a mixed insert/delete batch to the owned instance, folding
+    /// each edit into the report state, and returns the complete violation
+    /// report of the **new** instance (equal to a from-scratch detection run
+    /// — including conflicts created entirely within this batch).
     ///
     /// Errors (leaving the engine untouched) if any tuple's arity differs
     /// from the instance schema. Deleting a tuple with no live occurrence is
-    /// a no-op.
+    /// a no-op; otherwise the **latest** live occurrence goes.
     ///
-    /// The state update itself is group-local (`O(batch)` plus the touched
-    /// groups); materializing the returned report costs `O(current
-    /// violations)`. Streams that keep heavily-dirty instances and don't
-    /// need a report per batch can ignore the return value — the next
-    /// [`IncrementalDetector::violations`] call produces the same report on
-    /// demand.
+    /// The state update is `O(batch)`; materializing the returned report
+    /// costs `O(current violations)`. Streams that keep heavily-dirty
+    /// instances and don't need a report per batch can ignore the return
+    /// value — the next [`IncrementalDetector::violations`] call produces
+    /// the same report on demand.
     pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<Violations, RelationError> {
-        self.check_arity(ops.iter().map(BatchOp::tuple))?;
-
-        // Apply the edits; every maintained index records the keys it
-        // dirties.
+        self.state.check_arity(ops.iter().map(BatchOp::tuple))?;
+        let mut applied = Vec::with_capacity(ops.len());
         for op in ops {
-            match op {
+            applied.push(match op {
                 BatchOp::Insert(tuple) => {
                     let slot = self.store.len();
                     self.store.push_ids(tuple.ids())?;
                     self.alive.push(true);
                     self.live += 1;
-                    self.by_value
-                        .entry(tuple.ids().to_vec())
-                        .or_default()
-                        .push(slot);
-                    for state in &mut self.states {
-                        state.groups.insert_row(slot, tuple.ids());
-                    }
+                    let slots = self.by_value.entry(tuple.ids().to_vec()).or_default();
+                    slots.push(slot);
+                    true
                 }
-                BatchOp::Delete(tuple) => {
-                    let Some(slots) = self.by_value.get_mut(tuple.ids()) else {
-                        continue; // no live occurrence: no-op
-                    };
-                    let Some(slot) = slots.pop() else { continue };
-                    if slots.is_empty() {
-                        self.by_value.remove(tuple.ids());
-                    }
-                    self.alive[slot] = false;
-                    self.live -= 1;
-                    for state in &mut self.states {
-                        state.groups.remove_row(slot, tuple.ids());
-                    }
-                }
-            }
+                BatchOp::Delete(tuple) => self.retire(tuple.ids()),
+            });
         }
-
-        // `QC` is a property of the tuple alone: a violating tuple the batch
-        // names is reported while an occurrence of it is live. `QV` can only
-        // have changed in the dirtied groups.
-        for (cfd, state) in self.cfds.iter().zip(&mut self.states) {
-            let mut eval = GroupEval::new(cfd, &self.store);
-            for tuple in ops.iter().map(BatchOp::tuple) {
-                if !eval.begin(&tuple.project_ids(cfd.lhs())) {
-                    continue;
-                }
-                eval.add_cells(&tuple.project_ids(cfd.rhs()));
-                if eval.violated().next().is_none() {
-                    continue;
-                }
-                if self.by_value.contains_key(tuple.ids()) {
-                    state.qc.insert(tuple.ids().to_vec());
-                } else {
-                    state.qc.remove(tuple.ids());
-                }
-            }
-            for key in state.groups.drain_dirty() {
-                let slots = state.groups.index().lookup_ids(&key).iter().copied();
-                if eval.is_multi(&key, slots) {
-                    state.multi.insert(key);
-                } else {
-                    state.multi.remove(&key);
-                }
-            }
-        }
-
+        self.state.apply(ops, &applied);
         self.maybe_compact();
         Ok(self.violations())
     }
 
-    /// Rebuilds the engine over the live rows when dead slots dominate,
-    /// bounding memory to `O(live)` over arbitrarily long streams. Amortized
-    /// cost: a compaction scans `O(live)` rows and is triggered only after
-    /// at least as many deletions, and the rebuilt state is identical
-    /// (construction and maintenance compute the same summaries), so
-    /// reports are unaffected.
+    /// Retires the latest live occurrence of `cells`; `false` when there is
+    /// none.
+    fn retire(&mut self, cells: &[ValueId]) -> bool {
+        let Some(slots) = self.by_value.get_mut(cells) else {
+            return false;
+        };
+        let Some(slot) = slots.pop() else {
+            return false;
+        };
+        if slots.is_empty() {
+            self.by_value.remove(cells);
+        }
+        self.alive[slot] = false;
+        self.live -= 1;
+        true
+    }
+
+    /// Regathers the live slots when dead ones dominate, bounding memory to
+    /// `O(live)` over arbitrarily long streams. Amortized cost: a compaction
+    /// copies `O(live)` rows and is triggered only after at least as many
+    /// deletions; the report state is slot-free, so it is left as it is.
     fn maybe_compact(&mut self) {
         let dead = self.store.len() - self.live;
         if dead <= self.live.max(COMPACT_MIN_DEAD) {
             return;
         }
         // Column-wise gather of the live slots into a fresh store (u32
-        // copies, no per-row allocation); the rebuild takes it over without
-        // further copying.
-        let rel = self.current_relation();
-        let cfds = std::mem::take(&mut self.cfds);
-        *self = IncrementalDetector::new(rel, cfds);
+        // copies, no per-row allocation).
+        self.store = self.current_relation();
+        self.alive = vec![true; self.live];
+        self.by_value = slots_by_value(&self.store);
     }
 }
 

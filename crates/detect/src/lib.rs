@@ -35,9 +35,10 @@
 //! * [`planner`] — the cost-based [`Planner`] behind [`DetectorKind::Auto`]
 //!   (extension beyond the paper), and [`kind`] — the [`DetectorKind`]
 //!   selector over the three layouts above,
-//! * [`incremental`] — the [`IncrementalDetector`] stream engine: batched
-//!   insert/delete maintenance over one [`LhsGroups`] per CFD (extension
-//!   beyond the paper),
+//! * [`incremental`] — [`ViolationState`], the slot-free maintained report
+//!   (per matched LHS key a live count per distinct `Y`, per `QC` violator
+//!   a live count) that the [`IncrementalDetector`] stream engine and a
+//!   disk-backed session both keep (extension beyond the paper),
 //! * [`recheck`] — [`recheck_lhs_keys`]: the oracle's witnesses of a batch
 //!   of index groups (`None` for a don't-care CFD, which takes the scan),
 //!   what the repair engine drives after each round of edits (extension
@@ -64,7 +65,7 @@ pub mod sharded;
 
 pub use direct::{detect_with_index, DirectDetector};
 pub use groups::{group_witnesses, LhsGroups};
-pub use incremental::{BatchOp, IncrementalDetector};
+pub use incremental::{BatchOp, IncrementalDetector, ViolationState};
 pub use kernels::{scan_group, GroupScan, ScanScratch};
 pub use kind::DetectorKind;
 pub use planner::{DetectionPlan, PlanStep, Planner, StepStrategy};

@@ -10,11 +10,12 @@
 //! page cells are translated store id → runtime id on read and runtime id →
 //! store id on write.
 //!
-//! Durability: new entries are appended (buffered by the OS) as batches are
-//! prepared, and [`Dict::sync`] is called **before** the WAL commit fsync of
-//! any batch referencing them, so every store id reachable from committed
-//! data is always durable. Entries left behind by an uncommitted batch are
-//! harmless — they occupy ids nothing references.
+//! Durability: new entries get their ids at once but are buffered in memory
+//! as batches are prepared; [`Dict::sync`] writes them with one `write` and
+//! fsyncs, and it is called **before** the WAL commit fsync of any batch
+//! referencing them, so every store id reachable from committed data is
+//! always durable. Entries left behind by an uncommitted batch are harmless
+//! — they occupy ids nothing references.
 
 use crate::encode::{frame, put_value, scan_frames, take_value, Reader};
 use crate::error::{Result, StoreError};
@@ -31,7 +32,11 @@ pub(crate) struct Dict {
     path: PathBuf,
     store_to_runtime: Vec<ValueId>,
     runtime_to_store: HashMap<ValueId, u32>,
-    /// Entries appended since the last [`Dict::sync`].
+    /// Bytes of whole frames in the file.
+    len: u64,
+    /// Framed entries not yet written: [`Dict::sync`] writes them.
+    pending: Vec<u8>,
+    /// Entries added since the last successful [`Dict::sync`].
     dirty: bool,
 }
 
@@ -73,6 +78,8 @@ impl Dict {
             path: path.to_path_buf(),
             store_to_runtime,
             runtime_to_store,
+            len: valid as u64,
+            pending: Vec::new(),
             dirty: false,
         })
     }
@@ -82,24 +89,21 @@ impl Dict {
         self.store_to_runtime.len()
     }
 
-    /// The store id of runtime `id`, appending a new dictionary entry when
-    /// the value has never been stored here.
-    pub fn store_id(&mut self, id: ValueId) -> Result<u32> {
+    /// The store id of runtime `id`, adding a new dictionary entry when the
+    /// value has never been stored here. A new entry resolves at once and
+    /// reaches the file at the next [`Dict::sync`].
+    pub fn store_id(&mut self, id: ValueId) -> u32 {
         if let Some(&sid) = self.runtime_to_store.get(&id) {
-            return Ok(sid);
+            return sid;
         }
         let sid = self.store_to_runtime.len() as u32;
         let mut payload = Vec::new();
         put_value(&mut payload, id.resolve());
-        let mut record = Vec::new();
-        frame(&mut record, &payload);
-        self.file
-            .write_all(&record)
-            .map_err(|e| StoreError::io("write", &self.path, &e))?;
+        frame(&mut self.pending, &payload);
         self.store_to_runtime.push(id);
         self.runtime_to_store.insert(id, sid);
         self.dirty = true;
-        Ok(sid)
+        sid
     }
 
     /// The store id of runtime `id` if the value has ever been stored here,
@@ -122,12 +126,26 @@ impl Dict {
             })
     }
 
-    /// Forces appended entries to stable storage. Must complete before the
-    /// WAL commit of any batch whose pages reference them.
+    /// Writes the buffered entries with one `write` and forces them to
+    /// stable storage. Must complete before the WAL commit of any batch
+    /// whose pages reference them. A failed call leaves the entries to the
+    /// next one: a partial write is cut off again, so the file only ever
+    /// grows by whole frames.
     pub fn sync(&mut self) -> Result<()> {
         if !self.dirty {
             return Ok(());
         }
+        // Taken, not cleared: a bulk load's buffer is not kept alive.
+        let pending = std::mem::take(&mut self.pending);
+        if let Err(e) = self.file.write_all(&pending) {
+            // Best-effort: what a failed cut leaves behind is a torn tail,
+            // which the next open truncates.
+            let _ = self.file.set_len(self.len);
+            let _ = self.file.seek(SeekFrom::Start(self.len));
+            self.pending = pending;
+            return Err(StoreError::io("write", &self.path, &e));
+        }
+        self.len += pending.len() as u64;
         self.file
             .sync_data()
             .map_err(|e| StoreError::io("sync", &self.path, &e))?;
@@ -159,11 +177,11 @@ mod tests {
         ];
         let ids: Vec<ValueId> = v.iter().map(ValueId::of).collect();
         let mut dict = Dict::open(&path).unwrap();
-        assert_eq!(dict.store_id(ids[0]).unwrap(), 0);
-        assert_eq!(dict.store_id(ids[1]).unwrap(), 1);
-        assert_eq!(dict.store_id(ids[0]).unwrap(), 0, "idempotent");
-        assert_eq!(dict.store_id(ids[2]).unwrap(), 2);
-        assert_eq!(dict.store_id(ids[3]).unwrap(), 3);
+        assert_eq!(dict.store_id(ids[0]), 0);
+        assert_eq!(dict.store_id(ids[1]), 1);
+        assert_eq!(dict.store_id(ids[0]), 0, "idempotent");
+        assert_eq!(dict.store_id(ids[2]), 2);
+        assert_eq!(dict.store_id(ids[3]), 3);
         dict.sync().unwrap();
         drop(dict);
 
@@ -171,9 +189,38 @@ mod tests {
         assert_eq!(dict.len(), 4);
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(dict.runtime_id(i as u32).unwrap(), *id);
-            assert_eq!(dict.store_id(*id).unwrap(), i as u32);
+            assert_eq!(dict.store_id(*id), i as u32);
         }
         assert!(dict.runtime_id(4).is_err());
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn new_entries_resolve_before_sync_and_reach_the_file_in_one_write() {
+        let path = tmp("buffered");
+        let values = [Value::from("kept"), Value::Int(7), Value::from("also")];
+        let ids: Vec<ValueId> = values.iter().map(ValueId::of).collect();
+        let mut dict = Dict::open(&path).unwrap();
+        let sids: Vec<u32> = ids.iter().map(|&id| dict.store_id(id)).collect();
+        assert_eq!(sids, [0, 1, 2]);
+        // Resolvable both ways before anything is written…
+        for (&sid, &id) in sids.iter().zip(&ids) {
+            assert_eq!(dict.runtime_id(sid).unwrap(), id);
+            assert_eq!(dict.lookup(id), Some(sid));
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        // …and on disk after one sync, with the same ids after a reopen.
+        dict.sync().unwrap();
+        let synced = std::fs::metadata(&path).unwrap().len();
+        assert!(synced > 0);
+        dict.sync().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), synced);
+        drop(dict);
+        let dict = Dict::open(&path).unwrap();
+        assert_eq!(dict.len(), 3);
+        for (&sid, &id) in sids.iter().zip(&ids) {
+            assert_eq!(dict.runtime_id(sid).unwrap(), id);
+        }
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -181,7 +228,7 @@ mod tests {
     fn a_torn_tail_is_truncated_on_open() {
         let path = tmp("torn");
         let mut dict = Dict::open(&path).unwrap();
-        dict.store_id(ValueId::of(&Value::from("kept"))).unwrap();
+        dict.store_id(ValueId::of(&Value::from("kept")));
         dict.sync().unwrap();
         drop(dict);
         let before = std::fs::metadata(&path).unwrap().len();

@@ -17,7 +17,7 @@
 //! * a persisted dictionary mapping store-local dense `u32` ids to
 //!   runtime [`ValueId`](cfd_relation::ValueId)s (runtime ids are
 //!   process-local and must never reach disk);
-//! * a WAL ([`StoreOp`] records, CRC-framed, one fsync per batch) whose
+//! * a WAL ([`StoreOp`] records, CRC-framed, one WAL fsync per batch) whose
 //!   replay makes [`ColumnStore::apply_batch`] crash-recoverable — see
 //!   the durability contract on [`ColumnStore`].
 //!
@@ -25,7 +25,10 @@
 //! the one `QC`/`QV` scan kernel of `cfd-detect` a page chunk at a time, so
 //! reports are byte-identical to the in-memory detectors (same kernel,
 //! ordered-set reports) and the engine's detect/repair layers work
-//! unchanged over either backing.
+//! unchanged over either backing. A session that maintains its report
+//! instead builds it once through [`ColumnStore::for_each_chunk`] and then
+//! follows [`ColumnStore::commit_batch`], which says which ops changed the
+//! instance.
 //!
 //! [`Relation`]: cfd_relation::Relation
 

@@ -17,15 +17,20 @@
 //!
 //! [`ColumnStore::apply_batch`] and [`ColumnStore::set_cells`]:
 //!
-//! 1. validate every op up front — a rejected batch mutates **nothing**;
-//! 2. register all new values in the dictionary and fsync it;
+//! 1. validate every op up front — a rejected batch mutates **nothing** —
+//!    and resolve every delete to the slot it retires, which is what the
+//!    log records;
+//! 2. register all new values in the dictionary, write them with one
+//!    `write` and fsync it (skipped when the batch brings no new value);
 //! 3. append one commit record to the WAL and fsync it — *the commit
-//!    point*, one fsync per (group-committed) batch;
+//!    point*, one WAL fsync per (group-committed) batch;
 //! 4. apply the ops to pages through the buffer pool (no fsync — eviction
 //!    writebacks and the next checkpoint carry them to disk).
 //!
 //! A crash after step 3 loses nothing: open replays the WAL, rewriting
-//! every cell the batch touched. A crash before step 3 loses exactly the
+//! every cell the batch touched and tombstoning the logged slots — replay
+//! never searches pages, which may already hold later edits written back
+//! before the crash. A crash before step 3 loses exactly the
 //! batches that never reported success (a torn tail record is truncated).
 //! Page writes from step 4 that reached disk for an *uncommitted* batch are
 //! harmless — its slots lie at or past the durable slot watermark and the
@@ -48,7 +53,7 @@ use crate::wal::{StoreOp, Wal};
 use cfd_core::Cfd;
 use cfd_detect::kernels::{GroupScan, ScanScratch};
 use cfd_detect::{BatchOp, Violations};
-use cfd_relation::{AttrType, Domain, Relation, RelationError, Schema, Value, ValueId};
+use cfd_relation::{AttrType, Domain, Relation, RelationError, Schema, Tuple, Value, ValueId};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -237,11 +242,19 @@ impl ColumnStore {
 
     /// Durably applies one batch of inserts/deletes. See the type-level
     /// durability contract; group commit makes this one WAL fsync
-    /// regardless of the batch size.
+    /// regardless of the batch size, preceded by one dictionary fsync when
+    /// the batch brings values the store has never held.
     pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<()> {
-        let mut store_ops = Vec::with_capacity(ops.len());
-        for op in ops {
-            let tuple = op.tuple();
+        self.commit_batch(ops).map(drop)
+    }
+
+    /// [`ColumnStore::apply_batch`], reporting per op whether it changed the
+    /// instance: every insert does, a delete only when it retired a live
+    /// slot (the latest holding an identical tuple). This is what a
+    /// maintained report needs to follow the commit without reading the
+    /// store back.
+    pub fn commit_batch(&mut self, ops: &[BatchOp]) -> Result<Vec<bool>> {
+        for tuple in ops.iter().map(BatchOp::tuple) {
             // Same error the in-memory stream path raises, so a session is
             // backend-transparent even in how it rejects a malformed batch.
             if tuple.arity() != self.arity {
@@ -250,16 +263,64 @@ impl ColumnStore {
                     got: tuple.arity(),
                 }));
             }
-            store_ops.push(match op {
-                BatchOp::Insert(t) => StoreOp::Insert(t.to_values()),
-                BatchOp::Delete(t) => StoreOp::Delete(t.to_values()),
-            });
         }
-        self.commit(&store_ops)
+        let (store_ops, applied) = self.resolve(ops)?;
+        self.commit(&store_ops)?;
+        Ok(applied)
+    }
+
+    /// Which of `tuples`, deleted in order with bag semantics, would retire
+    /// a live slot — without changing anything: the deletion-side preview
+    /// of a disk-backed session asks this before asking its maintained
+    /// report what the retirement resolves.
+    pub fn retirable(&mut self, tuples: &[Tuple]) -> Result<Vec<bool>> {
+        let deletes: Vec<BatchOp> = tuples.iter().cloned().map(BatchOp::Delete).collect();
+        Ok(self.resolve(&deletes)?.1)
+    }
+
+    /// The store ops committing `ops` logs, and per op whether it changes
+    /// the instance, without changing anything. A delete resolves to the
+    /// **latest** live slot holding an identical tuple — the batch's own
+    /// earlier inserts included, slots its earlier deletes retired excluded
+    /// — and is dropped when there is none. Latest, because that is the one
+    /// `IncrementalDetector::apply_batch` pops in memory: the same history
+    /// then leaves the same row order on both backings (and any future
+    /// tuple → slot locator must keep this rule).
+    fn resolve(&mut self, ops: &[BatchOp]) -> Result<(Vec<StoreOp>, Vec<bool>)> {
+        let mut store_ops = Vec::with_capacity(ops.len());
+        let mut applied = Vec::with_capacity(ops.len());
+        // The batch's inserts as (slot, cells), and the slots it retires.
+        let mut inserted: Vec<(u64, &[ValueId])> = Vec::new();
+        let mut retired: BTreeSet<u64> = BTreeSet::new();
+        for op in ops {
+            match op {
+                BatchOp::Insert(tuple) => {
+                    inserted.push((self.slots + inserted.len() as u64, tuple.ids()));
+                    store_ops.push(StoreOp::Insert(tuple.to_values()));
+                    applied.push(true);
+                }
+                BatchOp::Delete(tuple) => {
+                    let live = |&&(slot, ids): &&(u64, &[ValueId])| {
+                        ids == tuple.ids() && !retired.contains(&slot)
+                    };
+                    let slot = match inserted.iter().rev().find(live) {
+                        Some(&(slot, _)) => Some(slot),
+                        None => self.find_live(tuple.ids(), &retired)?,
+                    };
+                    if let Some(slot) = slot {
+                        retired.insert(slot);
+                        store_ops.push(StoreOp::Delete { slot });
+                    }
+                    applied.push(slot.is_some());
+                }
+            }
+        }
+        Ok((store_ops, applied))
     }
 
     /// Durably overwrites cells of live slots — the logged form of a
-    /// repair's edits, committed as one batch (one WAL fsync).
+    /// repair's edits, committed as one batch (one WAL fsync, preceded by a
+    /// dictionary fsync when a new value is written).
     pub fn set_cells(&mut self, edits: &[(u64, u32, Value)]) -> Result<()> {
         let mut store_ops = Vec::with_capacity(edits.len());
         for &(slot, attr, ref value) in edits {
@@ -331,25 +392,13 @@ impl ColumnStore {
         // column is slot `base + live[i]`.
         let mut live: Vec<u32> = Vec::new();
         let mut hits: Vec<u32> = Vec::new();
-        for chunk in 0..self.slots.div_ceil(PAGE_CELLS as u64) {
-            let base = chunk * PAGE_CELLS as u64;
-            let end = (base + PAGE_CELLS as u64).min(self.slots);
-            let mut dead = self.dead.range(base..end).peekable();
-            live.clear();
-            live.extend(
-                (base..end)
-                    .filter(|slot| dead.next_if_eq(&slot).is_none())
-                    .map(|slot| (slot - base) as u32),
-            );
+        for chunk in 0..self.chunks() {
+            let base = self.live_offsets(chunk, &mut live);
             if live.is_empty() {
                 continue; // an entirely dead chunk costs no page read
             }
             for (col, attr) in cols.iter_mut().zip(&attrs) {
-                self.read_chunk(chunk, attr.index() as u32, &mut raw)?;
-                col.clear();
-                for &offset in &live {
-                    col.push(self.dict.runtime_id(raw[offset as usize])?);
-                }
+                self.read_live(chunk, attr.index() as u32, &live, &mut raw, col)?;
             }
             let block: Vec<&[ValueId]> = cols.iter().map(Vec::as_slice).collect();
             hits.clear();
@@ -360,20 +409,50 @@ impl ColumnStore {
         Ok(())
     }
 
+    /// Hands the live tuples to `visit` one chunk at a time, in slot order:
+    /// per chunk of [`PAGE_CELLS`] slots, every column page is read through
+    /// the pool, translated store id → runtime id with tombstoned slots
+    /// compacted out, and passed on as a relation of at most [`PAGE_CELLS`]
+    /// rows. One pass over the store, never more than one chunk in memory
+    /// of its own — how a maintained report is built over a store, and how
+    /// [`ColumnStore::materialize`] reads it. Stops at the first error
+    /// `visit` returns.
+    pub fn for_each_chunk(&mut self, mut visit: impl FnMut(&Relation) -> Result<()>) -> Result<()> {
+        let (mut live, mut raw) = (Vec::new(), Vec::new());
+        let mut cols: Vec<Vec<ValueId>> = vec![Vec::new(); self.arity];
+        let mut row = Vec::with_capacity(self.arity);
+        for chunk in 0..self.chunks() {
+            self.live_offsets(chunk, &mut live);
+            if live.is_empty() {
+                continue;
+            }
+            for (attr, col) in cols.iter_mut().enumerate() {
+                self.read_live(chunk, attr as u32, &live, &mut raw, col)?;
+            }
+            let mut rel = Relation::with_capacity(self.schema.clone(), live.len());
+            for i in 0..live.len() {
+                row.clear();
+                row.extend(cols.iter().map(|col| col[i]));
+                rel.push_ids(&row)?;
+            }
+            visit(&rel)?;
+        }
+        Ok(())
+    }
+
     /// Materializes the live tuples as an in-memory [`Relation`] in
     /// live-slot order (the order [`ColumnStore::live_slots`] documents).
     pub fn materialize(&mut self) -> Result<Relation> {
         let mut rel = Relation::with_capacity(self.schema.clone(), self.len());
-        let mut row = vec![ValueId::of(&Value::Null); self.arity];
-        for slot in 0..self.slots {
-            if self.dead.contains(&slot) {
-                continue;
+        let mut row = Vec::with_capacity(self.arity);
+        self.for_each_chunk(|chunk| {
+            for (_, tuple) in chunk.iter() {
+                row.clear();
+                row.extend(tuple.ids());
+                rel.push_ids(&row)?;
             }
-            for (attr, cell) in row.iter_mut().enumerate() {
-                *cell = self.read_id(slot, attr as u32)?;
-            }
-            rel.push_ids(&row)?;
-        }
+            Ok(())
+        })?;
         Ok(rel)
     }
 
@@ -400,20 +479,20 @@ impl ColumnStore {
         self.pool.clear(&mut self.pager)
     }
 
-    /// The validated-ops half of the commit protocol: dictionary fsync,
-    /// WAL fsync (commit point), page apply, checkpoint when due.
+    /// The resolved-ops half of the commit protocol: dictionary write +
+    /// fsync, WAL fsync (commit point), page apply, checkpoint when due.
     fn commit(&mut self, ops: &[StoreOp]) -> Result<()> {
         for op in ops {
             match op {
                 StoreOp::Insert(values) => {
                     for v in values {
-                        self.dict.store_id(ValueId::of(v))?;
+                        self.dict.store_id(ValueId::of(v));
                     }
                 }
                 StoreOp::SetCell { value, .. } => {
-                    self.dict.store_id(ValueId::of(value))?;
+                    self.dict.store_id(ValueId::of(value));
                 }
-                StoreOp::Delete(_) => {}
+                StoreOp::Delete { .. } => {}
             }
         }
         self.dict.sync()?;
@@ -444,14 +523,17 @@ impl ColumnStore {
                     }
                     let slot = self.slots;
                     for (attr, v) in values.iter().enumerate() {
-                        let sid = self.dict.store_id(ValueId::of(v))?;
+                        let sid = self.dict.store_id(ValueId::of(v));
                         self.write_sid(slot, attr as u32, sid)?;
                     }
                     self.slots += 1;
                 }
-                StoreOp::Delete(values) => {
-                    if let Some(slot) = self.find_live(values)? {
-                        self.dead.insert(slot);
+                StoreOp::Delete { slot } => {
+                    if *slot >= self.slots || !self.dead.insert(*slot) {
+                        return Err(StoreError::corrupt(
+                            &self.dir.join("wal.log"),
+                            format!("delete of slot {slot}, which is not live"),
+                        ));
                     }
                 }
                 StoreOp::SetCell { slot, attr, value } => {
@@ -464,7 +546,7 @@ impl ColumnStore {
                             format!("set-cell on slot {slot} attr {attr} is out of range"),
                         ));
                     }
-                    let sid = self.dict.store_id(ValueId::of(value))?;
+                    let sid = self.dict.store_id(ValueId::of(value));
                     self.write_sid(*slot, *attr, sid)?;
                 }
             }
@@ -472,24 +554,17 @@ impl ColumnStore {
         Ok(())
     }
 
-    /// Latest live slot whose tuple equals `values` — the occurrence a
-    /// bag-semantics delete retires — or `None`. Latest, because that is the
-    /// one `IncrementalDetector::apply_batch` pops in memory: the same
-    /// history then leaves the same row order on both backings (and any
-    /// future tuple → slot locator must keep this rule). Live commits and
-    /// WAL replay both resolve deletes here, so recovery is deterministic.
+    /// The latest stored live slot, outside `skip`, whose tuple equals
+    /// `ids` (see [`ColumnStore::resolve`]), by a walk from the end.
     /// Comparison is by store id, so values the dictionary has never seen
     /// cannot match.
-    fn find_live(&mut self, values: &[Value]) -> Result<Option<u64>> {
-        let mut target = Vec::with_capacity(values.len());
-        for v in values {
-            match ValueId::get(v).and_then(|id| self.dict.lookup(id)) {
-                Some(sid) => target.push(sid),
-                None => return Ok(None),
-            }
-        }
+    fn find_live(&mut self, ids: &[ValueId], skip: &BTreeSet<u64>) -> Result<Option<u64>> {
+        let target: Option<Vec<u32>> = ids.iter().map(|&id| self.dict.lookup(id)).collect();
+        let Some(target) = target else {
+            return Ok(None);
+        };
         'slots: for slot in (0..self.slots).rev() {
-            if self.dead.contains(&slot) {
+            if self.dead.contains(&slot) || skip.contains(&slot) {
                 continue;
             }
             for (attr, &sid) in target.iter().enumerate() {
@@ -525,13 +600,45 @@ impl ColumnStore {
         self.dict.runtime_id(sid)
     }
 
-    /// Reads the column chunk of `attr` covering slots
-    /// `[chunk·PAGE_CELLS, …)` into `out` as raw store ids.
-    fn read_chunk(&mut self, chunk: u64, attr: u32, out: &mut Vec<u32>) -> Result<()> {
-        out.clear();
+    /// Number of chunks holding allocated slots.
+    fn chunks(&self) -> u64 {
+        self.slots.div_ceil(PAGE_CELLS as u64)
+    }
+
+    /// Fills `live` with the offsets of the live slots of `chunk` (slot
+    /// `base + live[i]`) and returns `base`.
+    fn live_offsets(&self, chunk: u64, live: &mut Vec<u32>) -> u64 {
+        let base = chunk * PAGE_CELLS as u64;
+        let end = (base + PAGE_CELLS as u64).min(self.slots);
+        let mut dead = self.dead.range(base..end).peekable();
+        live.clear();
+        live.extend(
+            (base..end)
+                .filter(|slot| dead.next_if_eq(&slot).is_none())
+                .map(|slot| (slot - base) as u32),
+        );
+        base
+    }
+
+    /// Reads the `live` cells of `attr` in `chunk` into `col` as runtime
+    /// ids (`raw` is the page buffer).
+    fn read_live(
+        &mut self,
+        chunk: u64,
+        attr: u32,
+        live: &[u32],
+        raw: &mut Vec<u32>,
+        col: &mut Vec<ValueId>,
+    ) -> Result<()> {
+        raw.clear();
         let page = chunk * self.arity as u64 + u64::from(attr);
         self.pool
-            .read_cells(&mut self.pager, page, 0, PAGE_CELLS, out)
+            .read_cells(&mut self.pager, page, 0, PAGE_CELLS, raw)?;
+        col.clear();
+        for &offset in live {
+            col.push(self.dict.runtime_id(raw[offset as usize])?);
+        }
+        Ok(())
     }
 }
 

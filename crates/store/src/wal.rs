@@ -9,12 +9,16 @@
 //! nops: u32             — number of ops in the batch
 //! ops: nops ×           — tag u8:
 //!   0 Insert  + arity values        (tagged Value encoding)
-//!   1 Delete  + arity values
 //!   2 SetCell + slot u64 + attr u32 + value
+//!   3 Delete  + slot u64
 //! ```
 //!
 //! Ops carry **values**, never ids — replay re-interns, so the log is
 //! independent of both the process-local interner and the store dictionary.
+//! A delete carries the **slot** it retired, resolved when it committed:
+//! replay must not search pages for a matching tuple, because pages written
+//! back before a crash may already hold later edits. Tag 1 (a delete by
+//! value) is retired: a record carrying it is refused as corrupt.
 //!
 //! # Group commit
 //!
@@ -45,9 +49,12 @@ use std::path::{Path, PathBuf};
 pub enum StoreOp {
     /// Append a tuple (values in schema order).
     Insert(Vec<Value>),
-    /// Tombstone the latest live slot holding an identical tuple (bag
-    /// semantics; a no-op when none matches).
-    Delete(Vec<Value>),
+    /// Tombstone a live slot — the one a delete by value retired when it
+    /// committed (the latest live slot holding an identical tuple).
+    Delete {
+        /// The physical slot.
+        slot: u64,
+    },
     /// Overwrite one cell of a live slot — the logged form of a repair's
     /// `set_id` edit.
     SetCell {
@@ -61,8 +68,8 @@ pub enum StoreOp {
 }
 
 const TAG_INSERT: u8 = 0;
-const TAG_DELETE: u8 = 1;
 const TAG_SET_CELL: u8 = 2;
+const TAG_DELETE: u8 = 3;
 
 /// One committed batch as replayed from the log: its sequence number and
 /// its ops in apply order.
@@ -171,12 +178,9 @@ fn put_op(out: &mut Vec<u8>, op: &StoreOp) {
                 put_value(out, v);
             }
         }
-        StoreOp::Delete(values) => {
+        StoreOp::Delete { slot } => {
             out.push(TAG_DELETE);
-            put_u32(out, values.len() as u32);
-            for v in values {
-                put_value(out, v);
-            }
+            put_u64(out, *slot);
         }
         StoreOp::SetCell { slot, attr, value } => {
             out.push(TAG_SET_CELL);
@@ -190,18 +194,17 @@ fn put_op(out: &mut Vec<u8>, op: &StoreOp) {
 fn take_op(r: &mut Reader<'_>, path: &Path) -> Result<StoreOp> {
     let tag = r.take_u8()?;
     match tag {
-        TAG_INSERT | TAG_DELETE => {
+        TAG_INSERT => {
             let nvals = r.take_u32()? as usize;
             let mut values = Vec::with_capacity(nvals);
             for _ in 0..nvals {
                 values.push(take_value(r)?);
             }
-            Ok(if tag == TAG_INSERT {
-                StoreOp::Insert(values)
-            } else {
-                StoreOp::Delete(values)
-            })
+            Ok(StoreOp::Insert(values))
         }
+        TAG_DELETE => Ok(StoreOp::Delete {
+            slot: r.take_u64()?,
+        }),
         TAG_SET_CELL => {
             let slot = r.take_u64()?;
             let attr = r.take_u32()?;
@@ -226,7 +229,7 @@ mod tests {
     fn sample_ops() -> Vec<StoreOp> {
         vec![
             StoreOp::Insert(vec![Value::from("01"), Value::Int(908), Value::Null]),
-            StoreOp::Delete(vec![Value::from("44"), Value::Int(131), Value::Bool(true)]),
+            StoreOp::Delete { slot: 3 },
             StoreOp::SetCell {
                 slot: 7,
                 attr: 2,

@@ -106,6 +106,47 @@ fn cell_edits_survive_wal_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Replay must not resolve a logged delete against page contents: pages
+/// written back before a crash may already hold a *later* edit. Here the
+/// edit turns the surviving row into a copy of the deleted one and reaches
+/// disk by eviction; searching pages on replay would retire the survivor
+/// and then find the edit aimed at a dead slot.
+#[test]
+fn replay_retires_the_slot_a_delete_resolved_to_not_a_later_lookalike() {
+    let dir = scratch_dir("lookalike");
+    let data = cust_instance();
+    let (gone, kept) = (data.row(0).unwrap(), data.row(1).unwrap());
+    {
+        let mut store = ColumnStore::open_or_create(&dir, &cust_schema(), tiny_pool()).unwrap();
+        insert_all(&mut store, &data);
+        store.checkpoint().unwrap();
+        store
+            .apply_batch(&[BatchOp::Delete(gone.to_tuple())])
+            .unwrap();
+        let edits: Vec<(u64, u32, Value)> = (0..data.schema().arity())
+            .map(|attr| (1, attr as u32, gone.to_values()[attr].clone()))
+            .collect();
+        store.set_cells(&edits).unwrap();
+        // The edited pages reach disk, the checkpoint does not.
+        store.drop_page_cache().unwrap();
+        std::mem::forget(store);
+    }
+    let mut store = ColumnStore::open_or_create(&dir, &cust_schema(), tiny_pool()).unwrap();
+    assert_eq!(store.committed_batches(), 3);
+    let recovered = store.materialize().unwrap();
+    assert_eq!(recovered.len(), data.len() - 1);
+    assert_eq!(recovered.row(0).unwrap().to_tuple(), gone.to_tuple());
+    assert_ne!(kept.to_tuple(), gone.to_tuple());
+    for row in 1..recovered.len() {
+        assert_eq!(
+            recovered.row(row).unwrap().to_tuple(),
+            data.row(row + 1).unwrap().to_tuple()
+        );
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_torn_wal_tail_is_truncated_not_fatal() {
     use std::io::Write as _;

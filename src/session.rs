@@ -11,9 +11,10 @@
 //!   ([`Repairer::repair_with_indexes`](cfd_repair::Repairer::repair_with_indexes));
 //! * the **column statistics** and the [`DetectionPlan`] the adaptive
 //!   planner derived from them;
-//! * an embedded [`IncrementalDetector`] so [`Session::apply_batch`] streams
-//!   mixed insert/delete batches against the same handle with group-local
-//!   maintenance instead of rescans.
+//! * a maintained [`ViolationState`] — inside an embedded
+//!   [`IncrementalDetector`] in memory, beside the store on disk — so
+//!   [`Session::apply_batch`] streams mixed insert/delete batches against
+//!   the same handle at `O(batch)` cost instead of rescans.
 //!
 //! Everything is built lazily by the first method that needs it, so opening
 //! a session is cheap, and a pure streaming session never builds indexes or
@@ -24,51 +25,94 @@ use crate::error::{Error, Result};
 use cfd_core::{Cfd, PatternTuple, ViolationKind, ViolationWitness, WitnessCells};
 use cfd_detect::{
     detect_with_index, group_witnesses, BatchOp, DetectionPlan, DetectorKind, DirectDetector,
-    IncrementalDetector, Planner, ShardedDetector, ViolationItem, Violations,
+    IncrementalDetector, Planner, ShardedDetector, ViolationItem, ViolationState, Violations,
 };
 use cfd_relation::{
     project_attrs, AttrId, Index, Relation, RelationStats, Schema, Tuple, Value, ValueId,
 };
 use cfd_repair::{RepairKind, RepairResult, Repairer};
-use cfd_store::{ColumnStore, PoolStats};
+use cfd_store::{ColumnStore, PoolStats, StoreError};
 use std::sync::Arc;
 
 /// Who owns the served instance. Every state names its owner, so reading
 /// the instance never has to assume one exists.
 #[derive(Debug)]
 enum Backing {
-    /// In memory, snapshot current: `rel` is the instance and `stream`
-    /// (built by the first preview or batch) mirrors it.
+    /// In memory ([`Engine::session`]).
+    Memory(Memory),
+    /// On disk ([`Engine::session_on_disk`]): the store is the instance and
+    /// batches commit through its WAL. `snapshot` is a materialized view
+    /// every commit drops; `state` is the maintained report, built by one
+    /// chunked pass over the store on first use and fed by every commit
+    /// after that.
+    Disk {
+        store: Box<ColumnStore>,
+        snapshot: Option<Arc<Relation>>,
+        state: Option<ViolationState>,
+    },
+}
+
+/// An in-memory instance.
+#[derive(Debug)]
+enum Memory {
+    /// Snapshot current: `rel` is the instance and `stream` (built by the
+    /// first preview or batch) mirrors it.
     Fresh {
         rel: Arc<Relation>,
         stream: Option<IncrementalDetector>,
     },
-    /// In memory, batches applied since the last snapshot: the stream
-    /// detector's slot store is the instance.
+    /// Batches applied since the last snapshot: the stream detector's slot
+    /// store is the instance.
     Streamed(IncrementalDetector),
-    /// On disk ([`Engine::session_on_disk`]): the store is the instance and
-    /// batches commit through its WAL; `snapshot` and `stream` are
-    /// materialized views every commit drops.
-    Disk {
-        store: Box<ColumnStore>,
-        snapshot: Option<Arc<Relation>>,
-        stream: Option<IncrementalDetector>,
-    },
+}
+
+impl Memory {
+    /// The current instance, regathered from the stream detector when stale.
+    fn snapshot(&mut self) -> Arc<Relation> {
+        match self {
+            Memory::Fresh { rel, .. } => Arc::clone(rel),
+            Memory::Streamed(stream) => {
+                let rel = Arc::new(stream.current_relation());
+                // The detector moves into the fresh state, beside the
+                // snapshot it now mirrors.
+                let fresh = Memory::Fresh {
+                    rel: Arc::clone(&rel),
+                    stream: None,
+                };
+                if let Memory::Streamed(stream) = std::mem::replace(self, fresh) {
+                    *self = Memory::Fresh {
+                        rel: Arc::clone(&rel),
+                        stream: Some(stream),
+                    };
+                }
+                rel
+            }
+        }
+    }
+
+    /// The stream detector over the current instance, built on first use.
+    fn stream(&mut self, cfds: &[Cfd]) -> &mut IncrementalDetector {
+        match self {
+            Memory::Fresh { rel, stream } => stream
+                .get_or_insert_with(|| IncrementalDetector::new((**rel).clone(), cfds.to_vec())),
+            Memory::Streamed(stream) => stream,
+        }
+    }
 }
 
 impl Backing {
     fn schema(&self) -> &Schema {
         match self {
-            Backing::Fresh { rel, .. } => rel.schema(),
-            Backing::Streamed(stream) => stream.schema(),
+            Backing::Memory(Memory::Fresh { rel, .. }) => rel.schema(),
+            Backing::Memory(Memory::Streamed(stream)) => stream.schema(),
             Backing::Disk { store, .. } => store.schema(),
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            Backing::Fresh { rel, .. } => rel.len(),
-            Backing::Streamed(stream) => stream.len(),
+            Backing::Memory(Memory::Fresh { rel, .. }) => rel.len(),
+            Backing::Memory(Memory::Streamed(stream)) => stream.len(),
             Backing::Disk { store, .. } => store.len(),
         }
     }
@@ -76,7 +120,7 @@ impl Backing {
     fn store(&self) -> Option<&ColumnStore> {
         match self {
             Backing::Disk { store, .. } => Some(store),
-            _ => None,
+            Backing::Memory(_) => None,
         }
     }
 
@@ -84,69 +128,25 @@ impl Backing {
     /// detector or materialized from the store when stale.
     fn snapshot(&mut self) -> Result<Arc<Relation>> {
         match self {
-            Backing::Fresh { rel, .. } => Ok(Arc::clone(rel)),
+            Backing::Memory(memory) => Ok(memory.snapshot()),
             Backing::Disk {
                 store, snapshot, ..
             } => materialized(store, snapshot),
-            Backing::Streamed(stream) => {
-                let rel = Arc::new(stream.current_relation());
-                // The detector moves into the fresh state, beside the
-                // snapshot it now mirrors.
-                let fresh = Backing::Fresh {
-                    rel: Arc::clone(&rel),
-                    stream: None,
-                };
-                if let Backing::Streamed(stream) = std::mem::replace(self, fresh) {
-                    *self = Backing::Fresh {
-                        rel: Arc::clone(&rel),
-                        stream: Some(stream),
-                    };
-                }
-                Ok(rel)
-            }
-        }
-    }
-
-    /// The stream detector over the current instance, built on first use.
-    fn stream(&mut self, cfds: &[Cfd]) -> Result<&mut IncrementalDetector> {
-        match self {
-            Backing::Fresh { rel, stream } => Ok(stream
-                .get_or_insert_with(|| IncrementalDetector::new((**rel).clone(), cfds.to_vec()))),
-            Backing::Streamed(stream) => Ok(stream),
-            Backing::Disk {
-                store,
-                snapshot,
-                stream,
-            } => {
-                let built = match stream.take() {
-                    Some(built) => built,
-                    None => {
-                        let base = materialized(store, snapshot)?;
-                        IncrementalDetector::new((*base).clone(), cfds.to_vec())
-                    }
-                };
-                Ok(stream.insert(built))
-            }
         }
     }
 
     /// Retires the snapshot after a committed change: an in-memory stream
-    /// detector becomes the owner, a disk session drops both views of the
-    /// superseded store contents.
+    /// detector becomes the owner, a disk session drops its materialized
+    /// view (the maintained state followed the commit).
     fn supersede(&mut self) {
-        let streamed = match self {
-            Backing::Fresh { stream, .. } => stream.take(),
-            Backing::Streamed(_) => None,
-            Backing::Disk {
-                snapshot, stream, ..
-            } => {
-                *snapshot = None;
-                *stream = None;
-                None
+        match self {
+            Backing::Memory(Memory::Fresh { stream, .. }) => {
+                if let Some(stream) = stream.take() {
+                    *self = Backing::Memory(Memory::Streamed(stream));
+                }
             }
-        };
-        if let Some(stream) = streamed {
-            *self = Backing::Streamed(stream);
+            Backing::Memory(Memory::Streamed(_)) => {}
+            Backing::Disk { snapshot, .. } => *snapshot = None,
         }
     }
 }
@@ -162,6 +162,39 @@ fn materialized(
         None => Arc::new(store.materialize()?),
     };
     Ok(Arc::clone(snapshot.insert(current)))
+}
+
+/// The maintained report of the store, built on first use by one chunked
+/// pass over it through the buffer pool (never through
+/// [`ColumnStore::materialize`]).
+fn maintained<'s>(
+    store: &mut ColumnStore,
+    state: &'s mut Option<ViolationState>,
+    cfds: &[Cfd],
+) -> Result<&'s mut ViolationState> {
+    let built = match state.take() {
+        Some(built) => built,
+        None => {
+            let mut built = ViolationState::new(store.schema().arity(), cfds.to_vec());
+            store.for_each_chunk(|chunk| {
+                built.extend(chunk);
+                Ok(())
+            })?;
+            built
+        }
+    };
+    Ok(state.insert(built))
+}
+
+/// The error of a failed store commit. Only the store's validation refuses
+/// a batch before it mutates anything; any other failure may leave the
+/// store ahead of the maintained state, which is then dropped, to be
+/// rebuilt from the store on next use.
+fn commit_failed(state: &mut Option<ViolationState>, e: StoreError) -> Error {
+    if !matches!(e, StoreError::Relation(_)) {
+        *state = None;
+    }
+    e.into()
 }
 
 /// The per-CFD LHS indexes over `snapshot`, built on first use. Don't-care
@@ -192,7 +225,8 @@ pub struct Session {
     backing: Backing,
     /// Commits applied so far ([`Session::apply_batch`], [`Session::ingest`],
     /// [`Session::commit_repair`]): what a [`RepairResult`] is stamped with
-    /// and checked against.
+    /// and checked against. A disk-backed session counts the store's
+    /// durable commits, so the count survives a reopen.
     generation: u64,
     /// Per-CFD LHS indexes over the snapshot, built once per snapshot.
     indexes: Option<Vec<Option<Index>>>,
@@ -214,10 +248,10 @@ impl Session {
                 });
             }
         }
-        let backing = Backing::Fresh {
+        let backing = Backing::Memory(Memory::Fresh {
             rel: data,
             stream: None,
-        };
+        });
         Ok(Session::over(engine, backing))
     }
 
@@ -227,16 +261,16 @@ impl Session {
         let backing = Backing::Disk {
             store: Box::new(store),
             snapshot: None,
-            stream: None,
+            state: None,
         };
         Session::over(engine, backing)
     }
 
     fn over(engine: Engine, backing: Backing) -> Self {
         Session {
+            generation: backing.store().map_or(0, ColumnStore::committed_batches),
             engine,
             backing,
-            generation: 0,
             indexes: None,
             stats: None,
             plan: None,
@@ -457,15 +491,27 @@ impl Session {
     ///
     /// On a **disk-backed** session the batch additionally commits through
     /// the store's WAL before this returns — see the durability contract
-    /// on [`cfd_store::ColumnStore`] — and the report comes from a store
-    /// scan rather than incremental maintenance.
+    /// on [`cfd_store::ColumnStore`] — and the report comes from the
+    /// session's maintained [`ViolationState`], fed the ops the commit
+    /// applied. The first call builds that state by one chunked pass over
+    /// the store, before the commit; every later one costs the WAL commit
+    /// plus `O(batch)`. An error therefore never leaves a commit behind:
+    /// after a failed call, [`Session::committed_batches`] is unchanged.
     pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<Violations> {
-        if self.is_disk_backed() {
-            self.ingest(ops)?;
-            return self.detect();
-        }
-        let stream = self.backing.stream(self.engine.rules().cfds())?;
-        let report = stream.apply_batch(ops)?;
+        let cfds = self.engine.rules().cfds();
+        let report = match &mut self.backing {
+            Backing::Memory(memory) => memory.stream(cfds).apply_batch(ops)?,
+            Backing::Disk { store, state, .. } => {
+                let current = maintained(store, state, cfds)?;
+                match store.commit_batch(ops) {
+                    Ok(applied) => {
+                        current.apply(ops, &applied);
+                        current.violations()
+                    }
+                    Err(e) => return Err(commit_failed(state, e)),
+                }
+            }
+        };
         // The snapshot and everything bound to it are now stale — including
         // the column statistics and the detection plan derived from them:
         // the planner must never choose a strategy against counts of a
@@ -475,16 +521,19 @@ impl Session {
     }
 
     /// Durably applies a batch to a **disk-backed** session without
-    /// computing a violation report — the bulk-load path: the WAL commit
-    /// (one fsync) is the whole cost, detection is deferred until the next
-    /// [`Session::detect`]. Errors with
+    /// computing a violation report — the bulk-load path: the WAL commit is
+    /// the whole cost (one WAL fsync, preceded by a dictionary fsync when
+    /// the batch brings values the store has never held), detection is
+    /// deferred until the next [`Session::detect`]. The maintained report
+    /// [`Session::apply_batch`] keeps is fed the batch when it exists, and
+    /// not built when it does not. Errors with
     /// [`Error::Config`](crate::Error::Config) on in-memory sessions
     /// (whose `apply_batch` always maintains a report anyway).
     ///
     /// Shares [`Session::apply_batch`]'s failure atomicity: a rejected
     /// batch mutates nothing and invalidates nothing.
     pub fn ingest(&mut self, ops: &[BatchOp]) -> Result<()> {
-        let Backing::Disk { store, .. } = &mut self.backing else {
+        let Backing::Disk { store, state, .. } = &mut self.backing else {
             return Err(Error::Config(
                 "ingest requires a disk-backed session (use apply_batch on in-memory sessions)"
                     .into(),
@@ -492,7 +541,14 @@ impl Session {
         };
         // Validation happens inside the store before any mutation; on
         // error nothing below runs and all caches stay valid.
-        store.apply_batch(ops)?;
+        match store.commit_batch(ops) {
+            Ok(applied) => {
+                if let Some(state) = state {
+                    state.apply(ops, &applied);
+                }
+            }
+            Err(e) => return Err(commit_failed(state, e)),
+        }
         self.invalidate_after_commit();
         Ok(())
     }
@@ -503,10 +559,11 @@ impl Session {
     ///
     /// On a disk-backed session the modifications become one durably
     /// logged cell-edit batch ([`cfd_store::ColumnStore::set_cells`] —
-    /// one WAL fsync), translated from the result's live-row indices to
-    /// store slots; on an in-memory session the session simply adopts
-    /// `result.repaired` as its new snapshot. Either way the session
-    /// serves the repaired data afterwards.
+    /// one WAL record), translated from the result's live-row indices to
+    /// store slots, and the maintained report is dropped (the next
+    /// [`Session::apply_batch`] rebuilds it); on an in-memory session the
+    /// session simply adopts `result.repaired` as its new snapshot. Either
+    /// way the session serves the repaired data afterwards.
     ///
     /// The result's row indices are positions of the snapshot the repair
     /// ran over, so it must come from the session's **current** instance: a
@@ -521,7 +578,7 @@ impl Session {
             });
         }
         match &mut self.backing {
-            Backing::Disk { store, .. } => {
+            Backing::Disk { store, state, .. } => {
                 let live = store.live_slots();
                 let mut edits = Vec::with_capacity(result.modifications.len());
                 for m in &result.modifications {
@@ -535,10 +592,13 @@ impl Session {
                     })?;
                     edits.push((slot, m.attr.index() as u32, m.new.clone()));
                 }
-                store.set_cells(&edits)?;
+                store
+                    .set_cells(&edits)
+                    .map_err(|e| commit_failed(state, e))?;
+                *state = None;
             }
-            memory => {
-                *memory = Backing::Fresh {
+            Backing::Memory(memory) => {
+                *memory = Memory::Fresh {
                     rel: Arc::new(result.repaired.clone()),
                     stream: None,
                 };
@@ -548,10 +608,14 @@ impl Session {
         self.detect()
     }
 
-    /// Advances the generation and drops every cache bound to the
-    /// superseded snapshot.
+    /// Advances the generation — on disk to the store's commit count, which
+    /// every commit path advances by exactly one WAL record — and drops
+    /// every cache bound to the superseded snapshot.
     fn invalidate_after_commit(&mut self) {
-        self.generation += 1;
+        self.generation = match self.backing.store() {
+            Some(store) => store.committed_batches(),
+            None => self.generation + 1,
+        };
         self.backing.supersede();
         self.indexes = None;
         self.stats = None;
@@ -560,17 +624,39 @@ impl Session {
 
     /// Previews the violations `batch` would introduce if inserted — the
     /// violations of `current ∪ batch` involving at least one batch tuple —
-    /// without changing the session.
+    /// without changing the session. Both backings answer from their
+    /// maintained report (built on first use, as by
+    /// [`Session::apply_batch`]).
     pub fn preview_insertions(&mut self, batch: &[Tuple]) -> Result<Violations> {
-        let stream = self.backing.stream(self.engine.rules().cfds())?;
-        Ok(stream.detect_insertions(batch)?)
+        let cfds = self.engine.rules().cfds();
+        let report = match &mut self.backing {
+            Backing::Memory(memory) => memory.stream(cfds).detect_insertions(batch)?,
+            Backing::Disk { store, state, .. } => {
+                maintained(store, state, cfds)?.preview_insertions(batch)?
+            }
+        };
+        Ok(report)
     }
 
     /// Previews the currently-reported violations that deleting `batch`
-    /// (bag semantics) would resolve, without changing the session.
+    /// (bag semantics) would resolve, without changing the session. Which
+    /// occurrences the deletion would retire is the instance owner's call —
+    /// the stream detector's value map in memory, a read-only slot walk on
+    /// disk — and what that resolves is the maintained report's.
     pub fn preview_deletions(&mut self, batch: &[Tuple]) -> Result<Violations> {
-        let stream = self.backing.stream(self.engine.rules().cfds())?;
-        Ok(stream.detect_deletions(batch)?)
+        let cfds = self.engine.rules().cfds();
+        let report = match &mut self.backing {
+            Backing::Memory(memory) => memory.stream(cfds).detect_deletions(batch)?,
+            Backing::Disk { store, state, .. } => {
+                let current = maintained(store, state, cfds)?;
+                current.check_arity(batch)?;
+                let hits = store.retirable(batch)?;
+                let retired = batch.iter().zip(hits).filter(|&(_, hit)| hit);
+                let retired: Vec<&[ValueId]> = retired.map(|(t, _)| t.ids()).collect();
+                current.preview_deletions(&retired)
+            }
+        };
+        Ok(report)
     }
 
     /// Explains one report finding: which CFDs and pattern tuples it
@@ -796,35 +882,38 @@ mod tests {
         let mut session = engine.session(Arc::new(base.clone())).unwrap();
         assert!(matches!(
             session.backing,
-            Backing::Fresh { stream: None, .. }
+            Backing::Memory(Memory::Fresh { stream: None, .. })
         ));
         session
             .preview_insertions(std::slice::from_ref(&extra))
             .unwrap();
         assert!(matches!(
             session.backing,
-            Backing::Fresh {
+            Backing::Memory(Memory::Fresh {
                 stream: Some(_),
                 ..
-            }
+            })
         ));
         session.apply_batch(&[BatchOp::Insert(extra)]).unwrap();
-        assert!(matches!(session.backing, Backing::Streamed(_)));
+        assert!(matches!(
+            session.backing,
+            Backing::Memory(Memory::Streamed(_))
+        ));
         assert_eq!(session.len(), base.len() + 1);
         assert_eq!(session.schema(), base.schema());
         assert_eq!(session.snapshot().unwrap().len(), base.len() + 1);
         assert!(matches!(
             session.backing,
-            Backing::Fresh {
+            Backing::Memory(Memory::Fresh {
                 stream: Some(_),
                 ..
-            }
+            })
         ));
         let repair = session.repair(RepairKind::EquivClass).unwrap();
         assert!(session.commit_repair(&repair).unwrap().is_clean());
         assert!(matches!(
             session.backing,
-            Backing::Fresh { stream: None, .. }
+            Backing::Memory(Memory::Fresh { stream: None, .. })
         ));
         assert_eq!(session.len(), base.len() + 1);
     }

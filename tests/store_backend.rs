@@ -1,8 +1,9 @@
 //! Integration tests of the disk-backed session path
 //! ([`Engine::session_on_disk`]): backend transparency (disk vs. memory,
 //! byte-identical reports across every detector kind and across chunk
-//! seams), failure-atomic batch rejection, stale-repair refusal, bounded
-//! page memory on workloads far larger than the buffer pool, and the
+//! seams), failure-atomic batch rejection, stale-repair refusal (across a
+//! reopen too), commit cost independent of the instance size, bounded page
+//! memory on workloads far larger than the buffer pool, and the
 //! kill-and-recover harness (a child process `abort()`ed mid-stream must
 //! recover to a byte-identical report).
 
@@ -18,6 +19,7 @@ use cfd_detect::DirectDetector;
 use cfd_relation::Relation;
 use cfd_sql::Detector;
 use common::{random_batch, random_cfd, random_tuple};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -390,6 +392,148 @@ fn a_stale_repair_result_is_refused_on_both_backings() {
     }
 }
 
+/// A `RepairResult` names rows of the instance it was computed on, so a
+/// reopen must not make it current again. A disk session counts the store's
+/// durable commits: a result from before the reopen is stale once the
+/// reopened session has committed, and still current if it has not.
+#[test]
+fn a_repair_result_does_not_outlive_a_reopen_that_commits() {
+    let dir = scratch_dir("reopen-stale");
+    let engine = Engine::builder().rule_set(fig2_cfd_set()).build().unwrap();
+    let tuples = cust_instance().to_tuples();
+    let mut first = engine.session_on_disk(&dir).unwrap();
+    first.apply_batch(&insert_ops(&cust_instance())).unwrap();
+    first
+        .apply_batch(&[BatchOp::Insert(tuples[2].clone())])
+        .unwrap();
+    let old = first.repair(RepairKind::EquivClass).unwrap();
+    assert!(!old.modifications.is_empty());
+    assert_eq!(old.generation, 2);
+    drop(first);
+
+    // Reopened, two commits on: the old result's rows may name other
+    // tuples now, and it is refused before anything is edited.
+    let mut second = engine.session_on_disk(&dir).unwrap();
+    assert_eq!(second.committed_batches(), Some(2));
+    for tuple in &tuples[..2] {
+        second
+            .apply_batch(&[BatchOp::Insert(tuple.clone())])
+            .unwrap();
+    }
+    let report = second.detect().unwrap();
+    let err = second.commit_repair(&old).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::StaleResult {
+                result: 2,
+                session: 4
+            }
+        ),
+        "got {err:?}"
+    );
+    assert_eq!(second.committed_batches(), Some(4));
+    assert_eq!(
+        second.detect().unwrap().canonical_bytes(),
+        report.canonical_bytes()
+    );
+
+    // A reopen that commits nothing leaves the instance, and the result,
+    // as they were.
+    let current = second.repair(RepairKind::EquivClass).unwrap();
+    drop(second);
+    let mut third = engine.session_on_disk(&dir).unwrap();
+    assert!(third.commit_repair(&current).unwrap().is_clean());
+    assert_eq!(third.committed_batches(), Some(5));
+    drop(third);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Commit cost in the engine's own units rather than wall clock: once the
+/// first batch has built the maintained report, a 64-op commit (48 inserts
+/// and 16 deletes of tuples the previous batch inserted) costs the same
+/// buffer-pool accesses over 4k rows as over 64k — it touches the batch,
+/// not the instance — and every report it returns equals a full scan of
+/// the same session.
+#[test]
+fn a_disk_commit_costs_the_same_pool_accesses_at_4k_and_64k_rows() {
+    const INSERTS: usize = 48;
+    const DELETES: usize = 16;
+    const COMMITS: usize = 8;
+    let fresh = TaxGenerator::new(TaxConfig {
+        size: (COMMITS + 1) * INSERTS,
+        noise_percent: 5.0,
+        seed: 404,
+    })
+    .generate()
+    .relation
+    .to_tuples();
+    let accesses_per_commit = |rows: usize| {
+        let dir = scratch_dir(&format!("commit-cost-{rows}"));
+        let base = TaxGenerator::new(TaxConfig {
+            size: rows,
+            noise_percent: 5.0,
+            seed: 17,
+        })
+        .generate()
+        .relation
+        .to_tuples();
+        let config = EngineConfig::builder()
+            .storage(StorageConfig {
+                pool_pages: 64,
+                ..StorageConfig::default()
+            })
+            .build()
+            .unwrap();
+        let engine = Engine::builder()
+            .rules(tax_cfds(2))
+            .config(config)
+            .build()
+            .unwrap();
+        let mut session = engine.session_on_disk(&dir).unwrap();
+        for chunk in base.chunks(4096) {
+            let ops: Vec<BatchOp> = chunk.iter().cloned().map(BatchOp::Insert).collect();
+            session.ingest(&ops).unwrap();
+        }
+        session.checkpoint().unwrap();
+        let mut accesses = 0;
+        for i in 0..=COMMITS {
+            // Batch 0 deletes base rows and is the warm-up.
+            let deletes = match i {
+                0 => &base[rows - DELETES..],
+                _ => &fresh[(i - 1) * INSERTS..][..DELETES],
+            };
+            let inserts = fresh[i * INSERTS..][..INSERTS].iter().cloned();
+            let ops: Vec<BatchOp> = inserts
+                .map(BatchOp::Insert)
+                .chain(deletes.iter().cloned().map(BatchOp::Delete))
+                .collect();
+            let before = session.pool_stats().unwrap();
+            let report = session.apply_batch(&ops).unwrap();
+            let after = session.pool_stats().unwrap();
+            if i > 0 {
+                accesses += after.hits + after.misses - before.hits - before.misses;
+            }
+            let scanned = session.detect().unwrap();
+            assert_eq!(
+                report.canonical_bytes(),
+                scanned.canonical_bytes(),
+                "{rows} rows, commit {i}"
+            );
+            assert_eq!(session.len(), rows + (i + 1) * (INSERTS - DELETES));
+        }
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+        accesses as f64 / COMMITS as f64
+    };
+    let small = accesses_per_commit(4_000);
+    let large = accesses_per_commit(64_000);
+    assert!(
+        (large / small - 1.0).abs() <= 0.10,
+        "pool accesses per 64-op commit: {small} at 4k rows, {large} at 64k"
+    );
+}
+
 /// The stateful model test: one disk session against one in-memory session
 /// as the model, through random interleavings of everything a session can do
 /// to its instance — mixed batches (duplicate inserts, deletes of duplicates
@@ -402,11 +546,12 @@ fn a_stale_repair_result_is_refused_on_both_backings() {
 /// **row for row** (so `modifications[].row`, `Explanation::rows` and
 /// positional weights mean the same tuple on both backings — a delete by
 /// value retires the *latest* duplicate on both), same repair plan, same
-/// length, and exactly one durable commit per successful write.
-#[test]
-fn a_disk_session_tracks_the_memory_model_through_random_interleavings() {
-    let dir = scratch_dir("model");
-    for seed in 0..32u64 {
+/// length, the same insertion and deletion previews of a random batch (both
+/// answered from the maintained report, which the interleavings feed,
+/// drop and rebuild), and exactly one durable commit per successful write.
+fn track_the_memory_model(tag: &str, seeds: Range<u64>, steps: usize) {
+    let dir = scratch_dir(tag);
+    for seed in seeds {
         let mut rng = StdRng::seed_from_u64(0x4D0D_E100 + seed);
         let _ = std::fs::remove_dir_all(&dir);
         // A small pool and WAL budget: pages are evicted and checkpoints
@@ -435,7 +580,7 @@ fn a_disk_session_tracks_the_memory_model_through_random_interleavings() {
         let mut disk = engine.session_on_disk(&dir).unwrap();
         let mut commits = 0u64;
 
-        for step in 0..40 {
+        for step in 0..steps {
             let at = format!("seed {seed}, step {step}");
             let mut live = memory.snapshot().unwrap().to_tuples();
             match rng.gen_range(0usize..100) {
@@ -488,7 +633,9 @@ fn a_disk_session_tracks_the_memory_model_through_random_interleavings() {
                     } else {
                         std::mem::forget(disk);
                     }
-                    disk = engine.session_on_disk(&dir).unwrap();
+                    disk = engine
+                        .session_on_disk(&dir)
+                        .unwrap_or_else(|e| panic!("{at}: reopen failed: {e}"));
                 }
             }
 
@@ -509,10 +656,51 @@ fn a_disk_session_tracks_the_memory_model_through_random_interleavings() {
                 memory.repair(RepairKind::EquivClass).unwrap().modifications,
                 "{at}"
             );
+
+            // Previews of a random batch: fresh tuples to insert; live
+            // tuples (duplicates included) and a random one to delete.
+            let live = memory.snapshot().unwrap().to_tuples();
+            let inserts: Vec<Tuple> = (0..rng.gen_range(1usize..4))
+                .map(|_| random_tuple(&mut rng))
+                .collect();
+            let mut deletes = vec![random_tuple(&mut rng)];
+            for _ in 0..rng.gen_range(0usize..4) {
+                if !live.is_empty() {
+                    deletes.push(live[rng.gen_range(0..live.len())].clone());
+                }
+            }
+            assert_eq!(
+                disk.preview_insertions(&inserts).unwrap().canonical_bytes(),
+                memory
+                    .preview_insertions(&inserts)
+                    .unwrap()
+                    .canonical_bytes(),
+                "{at}: insertion preview"
+            );
+            assert_eq!(
+                disk.preview_deletions(&deletes).unwrap().canonical_bytes(),
+                memory
+                    .preview_deletions(&deletes)
+                    .unwrap()
+                    .canonical_bytes(),
+                "{at}: deletion preview"
+            );
         }
         drop(disk);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_disk_session_tracks_the_memory_model_through_random_interleavings() {
+    track_the_memory_model("model", 0..32, 40);
+}
+
+/// CI-sized (`--include-ignored`) variant: 256 seeds × 60 steps.
+#[test]
+#[ignore = "CI-sized; run with --include-ignored in release"]
+fn a_disk_session_tracks_the_memory_model_at_ci_scale() {
+    track_the_memory_model("model-ci", 0..256, 60);
 }
 
 /// Acceptance: detect + repair on a workload more than 10× the buffer-pool
