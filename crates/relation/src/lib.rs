@@ -76,5 +76,5 @@ pub use row::{project_attrs, project_cols, project_cols_into, RowRef};
 pub use schema::{AttrId, Attribute, Schema, SchemaBuilder};
 pub use stats::{ColumnStats, GroupStats, NdvSketch, RelationStats};
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{Value, ValueRef};
 pub use weights::TupleWeights;

@@ -112,6 +112,48 @@ impl fmt::Display for Value {
     }
 }
 
+/// A borrowed [`Value`]: the same four cases, with a string cell as a
+/// `&str` into text someone else owns. This is what a loader hands the
+/// interner ([`crate::ValueId::of_ref`], [`crate::ValueId::intern_row`]),
+/// so a cell whose value is already interned is looked up without building
+/// a `Value` — a string is copied only the first time the process sees it.
+///
+/// Equality and hashing agree with [`Value`]'s: `ValueRef::from(&v)`
+/// equals `ValueRef::from(&w)` exactly when `v == w`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ValueRef<'a> {
+    /// [`Value::Null`].
+    Null,
+    /// [`Value::Bool`].
+    Bool(bool),
+    /// [`Value::Int`].
+    Int(i64),
+    /// [`Value::Str`], borrowed.
+    Str(&'a str),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+impl From<ValueRef<'_>> for Value {
+    fn from(v: ValueRef<'_>) -> Self {
+        match v {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+}
+
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
         Value::Str(s.to_owned())

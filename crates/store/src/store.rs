@@ -181,7 +181,8 @@ impl ColumnStore {
                     ),
                 ));
             }
-            store.apply_ops(&ops)?;
+            let sids = store.store_ids(&ops);
+            store.apply_ops(&ops, &sids)?;
             store.committed += 1;
         }
         if replayed {
@@ -296,7 +297,7 @@ impl ColumnStore {
             match op {
                 BatchOp::Insert(tuple) => {
                     inserted.push((self.slots + inserted.len() as u64, tuple.ids()));
-                    store_ops.push(StoreOp::Insert(tuple.to_values()));
+                    store_ops.push(StoreOp::Insert(tuple.ids().to_vec()));
                     applied.push(true);
                 }
                 BatchOp::Delete(tuple) => {
@@ -337,7 +338,7 @@ impl ColumnStore {
             store_ops.push(StoreOp::SetCell {
                 slot,
                 attr,
-                value: value.clone(),
+                value: ValueId::of(value),
             });
         }
         self.commit(&store_ops)
@@ -482,22 +483,10 @@ impl ColumnStore {
     /// The resolved-ops half of the commit protocol: dictionary write +
     /// fsync, WAL fsync (commit point), page apply, checkpoint when due.
     fn commit(&mut self, ops: &[StoreOp]) -> Result<()> {
-        for op in ops {
-            match op {
-                StoreOp::Insert(values) => {
-                    for v in values {
-                        self.dict.store_id(ValueId::of(v));
-                    }
-                }
-                StoreOp::SetCell { value, .. } => {
-                    self.dict.store_id(ValueId::of(value));
-                }
-                StoreOp::Delete { .. } => {}
-            }
-        }
+        let sids = self.store_ids(ops);
         self.dict.sync()?;
         self.wal.append_commit(self.committed, ops)?;
-        self.apply_ops(ops)?;
+        self.apply_ops(ops, &sids)?;
         self.committed += 1;
         if self.wal.size() > self.wal_checkpoint_bytes {
             self.checkpoint()?;
@@ -505,25 +494,38 @@ impl ColumnStore {
         Ok(())
     }
 
-    /// Applies already-committed ops to pages (both the live path after a
-    /// WAL append and the replay path during recovery run exactly this).
-    fn apply_ops(&mut self, ops: &[StoreOp]) -> Result<()> {
+    /// The store id of every cell `ops` write, in op order
+    /// ([`StoreOp::cells`]), adding dictionary entries for values the store
+    /// has never held — each cell is translated once per commit.
+    fn store_ids(&mut self, ops: &[StoreOp]) -> Vec<u32> {
+        ops.iter()
+            .flat_map(StoreOp::cells)
+            .map(|&id| self.dict.store_id(id))
+            .collect()
+    }
+
+    /// Applies already-committed ops to pages, `sids` being their cells'
+    /// [`ColumnStore::store_ids`] (both the live path after a WAL append
+    /// and the replay path during recovery run exactly this).
+    fn apply_ops(&mut self, ops: &[StoreOp], sids: &[u32]) -> Result<()> {
+        let mut rest = sids;
         for op in ops {
+            let (cells, tail) = rest.split_at(op.cells().len());
+            rest = tail;
             match op {
-                StoreOp::Insert(values) => {
-                    if values.len() != self.arity {
+                StoreOp::Insert(_) => {
+                    if cells.len() != self.arity {
                         return Err(StoreError::corrupt(
                             &self.dir.join("wal.log"),
                             format!(
                                 "insert arity {} does not match schema arity {}",
-                                values.len(),
+                                cells.len(),
                                 self.arity
                             ),
                         ));
                     }
                     let slot = self.slots;
-                    for (attr, v) in values.iter().enumerate() {
-                        let sid = self.dict.store_id(ValueId::of(v));
+                    for (attr, &sid) in cells.iter().enumerate() {
                         self.write_sid(slot, attr as u32, sid)?;
                     }
                     self.slots += 1;
@@ -536,7 +538,7 @@ impl ColumnStore {
                         ));
                     }
                 }
-                StoreOp::SetCell { slot, attr, value } => {
+                StoreOp::SetCell { slot, attr, .. } => {
                     if *slot >= self.slots
                         || self.dead.contains(slot)
                         || *attr as usize >= self.arity
@@ -546,8 +548,7 @@ impl ColumnStore {
                             format!("set-cell on slot {slot} attr {attr} is out of range"),
                         ));
                     }
-                    let sid = self.dict.store_id(ValueId::of(value));
-                    self.write_sid(*slot, *attr, sid)?;
+                    self.write_sid(*slot, *attr, cells[0])?;
                 }
             }
         }

@@ -15,6 +15,8 @@
 //!
 //! Ops carry **values**, never ids — replay re-interns, so the log is
 //! independent of both the process-local interner and the store dictionary.
+//! In memory a [`StoreOp`] holds runtime [`ValueId`]s: an insert is logged
+//! by resolving its ids, and replay interns every logged value once.
 //! A delete carries the **slot** it retired, resolved when it committed:
 //! replay must not search pages for a matching tuple, because pages written
 //! back before a crash may already hold later edits. Tag 1 (a delete by
@@ -39,7 +41,7 @@
 
 use crate::encode::{frame, put_u32, put_u64, put_value, scan_frames, take_value, Reader};
 use crate::error::{Result, StoreError};
-use cfd_relation::Value;
+use cfd_relation::ValueId;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -47,8 +49,8 @@ use std::path::{Path, PathBuf};
 /// One durable mutation of the store, as logged and replayed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreOp {
-    /// Append a tuple (values in schema order).
-    Insert(Vec<Value>),
+    /// Append a tuple (cells in schema order).
+    Insert(Vec<ValueId>),
     /// Tombstone a live slot — the one a delete by value retired when it
     /// committed (the latest live slot holding an identical tuple).
     Delete {
@@ -63,8 +65,20 @@ pub enum StoreOp {
         /// The attribute position.
         attr: u32,
         /// The new value.
-        value: Value,
+        value: ValueId,
     },
+}
+
+impl StoreOp {
+    /// The cells the op writes, in the order it writes them: an insert's
+    /// tuple, a set-cell's value, nothing for a delete.
+    pub(crate) fn cells(&self) -> &[ValueId] {
+        match self {
+            StoreOp::Insert(cells) => cells,
+            StoreOp::Delete { .. } => &[],
+            StoreOp::SetCell { value, .. } => std::slice::from_ref(value),
+        }
+    }
 }
 
 const TAG_INSERT: u8 = 0;
@@ -175,7 +189,7 @@ fn put_op(out: &mut Vec<u8>, op: &StoreOp) {
             out.push(TAG_INSERT);
             put_u32(out, values.len() as u32);
             for v in values {
-                put_value(out, v);
+                put_value(out, v.resolve());
             }
         }
         StoreOp::Delete { slot } => {
@@ -186,7 +200,7 @@ fn put_op(out: &mut Vec<u8>, op: &StoreOp) {
             out.push(TAG_SET_CELL);
             put_u64(out, *slot);
             put_u32(out, *attr);
-            put_value(out, value);
+            put_value(out, value.resolve());
         }
     }
 }
@@ -198,7 +212,7 @@ fn take_op(r: &mut Reader<'_>, path: &Path) -> Result<StoreOp> {
             let nvals = r.take_u32()? as usize;
             let mut values = Vec::with_capacity(nvals);
             for _ in 0..nvals {
-                values.push(take_value(r)?);
+                values.push(ValueId::from_value(take_value(r)?));
             }
             Ok(StoreOp::Insert(values))
         }
@@ -208,7 +222,7 @@ fn take_op(r: &mut Reader<'_>, path: &Path) -> Result<StoreOp> {
         TAG_SET_CELL => {
             let slot = r.take_u64()?;
             let attr = r.take_u32()?;
-            let value = take_value(r)?;
+            let value = ValueId::from_value(take_value(r)?);
             Ok(StoreOp::SetCell { slot, attr, value })
         }
         tag => Err(StoreError::corrupt(path, format!("unknown op tag {tag}"))),
@@ -218,6 +232,7 @@ fn take_op(r: &mut Reader<'_>, path: &Path) -> Result<StoreOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfd_relation::Value;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cfd-wal-{}-{name}", std::process::id()));
@@ -228,12 +243,16 @@ mod tests {
 
     fn sample_ops() -> Vec<StoreOp> {
         vec![
-            StoreOp::Insert(vec![Value::from("01"), Value::Int(908), Value::Null]),
+            StoreOp::Insert(vec![
+                ValueId::of(&Value::from("01")),
+                ValueId::of(&Value::Int(908)),
+                ValueId::NULL,
+            ]),
             StoreOp::Delete { slot: 3 },
             StoreOp::SetCell {
                 slot: 7,
                 attr: 2,
-                value: Value::from("MH"),
+                value: ValueId::of(&Value::from("MH")),
             },
         ]
     }
@@ -244,7 +263,7 @@ mod tests {
         let (mut wal, batches) = Wal::open(&path).unwrap();
         assert!(batches.is_empty());
         wal.append_commit(0, &sample_ops()).unwrap();
-        wal.append_commit(1, &[StoreOp::Insert(vec![Value::Int(5)])])
+        wal.append_commit(1, &[StoreOp::Insert(vec![ValueId::of(&Value::Int(5))])])
             .unwrap();
         assert!(wal.size() > 0);
         drop(wal);
@@ -253,6 +272,24 @@ mod tests {
         assert_eq!(batches[0].0, 0);
         assert_eq!(batches[0].1, sample_ops());
         assert_eq!(batches[1].0, 1);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn records_encode_values_as_before_ops_carried_ids() {
+        // The record of `sample_ops()` as the log wrote it while ops still
+        // carried owned values: logging through `resolve` changes no byte,
+        // so stores written by either version recover with the other.
+        const RECORD: [u8; 71] = [
+            63, 0, 0, 0, 40, 60, 127, 212, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 3, 0, 0, 0, 4, 2,
+            0, 0, 0, 48, 49, 3, 140, 3, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0, 2, 7, 0, 0,
+            0, 0, 0, 0, 0, 2, 0, 0, 0, 4, 2, 0, 0, 0, 77, 72,
+        ];
+        let path = tmp("bytes");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append_commit(0, &sample_ops()).unwrap();
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), RECORD);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

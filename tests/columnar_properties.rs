@@ -6,9 +6,10 @@
 //! mirror **cell for cell** through every read path: [`RowRef`] views,
 //! [`Relation::column`] slices, owned round-trips (`to_tuple`/`to_tuples`),
 //! projections, and the id-routed `group_by`/`project`/`active_domain`.
+//! The CSV text form round-trips random relations cell id for cell id.
 
 use cfd_datagen::rng::StdRng;
-use cfd_relation::{AttrId, Relation, Schema, Tuple, Value};
+use cfd_relation::{csv, AttrId, AttrType, Relation, Schema, Tuple, Value};
 
 fn schema() -> Schema {
     Schema::builder("r").text("A").text("B").text("C").build()
@@ -148,5 +149,78 @@ fn random_edit_interleavings_agree_with_a_tuple_mirror() {
         let gathered = rel.gather_rows(&pick);
         let expected: Vec<Tuple> = pick.iter().map(|&i| mirror[i].clone()).collect();
         assert_eq!(gathered.to_tuples(), expected, "case {case} gather");
+    }
+}
+
+/// A random text cell: NULL, or up to four pieces drawn from everything the
+/// CSV writer must quote or keep apart — delimiters, quotes, line breaks,
+/// `""` versus NULL, whitespace-only text, non-ASCII text and digits.
+fn random_text(rng: &mut StdRng) -> Value {
+    const PIECES: [&str; 18] = [
+        "",
+        " ",
+        "\t",
+        ",",
+        "\"",
+        "\"\"",
+        "\n",
+        "\r",
+        "\r\n",
+        "a",
+        "NULL",
+        "42",
+        "-7",
+        "é",
+        "日本",
+        "x,y",
+        "say \"hi\"",
+        "  ",
+    ];
+    if rng.gen_bool(0.15) {
+        return Value::Null;
+    }
+    let pieces = rng.gen_range(0usize..5);
+    Value::from(
+        (0..pieces)
+            .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+            .collect::<String>(),
+    )
+}
+
+#[test]
+fn csv_round_trips_random_relations_cell_id_for_cell_id() {
+    let schema = Schema::builder("csv")
+        .text("T")
+        .integer("I")
+        .attr("B", AttrType::Boolean)
+        .text("U")
+        .build();
+    let single = Schema::builder("one").text("T").build();
+    for case in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let mut rel = Relation::new(schema.clone());
+        let mut one = Relation::new(single.clone());
+        for _ in 0..rng.gen_range(0usize..30) {
+            let int = match rng.gen_range(0usize..4) {
+                0 => Value::Null,
+                1 => Value::Int(i64::MIN),
+                _ => Value::Int((rng.next_u64() as i64) >> rng.gen_range(0u32..64)),
+            };
+            let boolean =
+                [Value::Null, Value::Bool(true), Value::Bool(false)][rng.gen_range(0..3)].clone();
+            let row = vec![random_text(&mut rng), int, boolean, random_text(&mut rng)];
+            rel.push_values(row).unwrap();
+            one.push_values(vec![random_text(&mut rng)]).unwrap();
+        }
+        for rel in [&rel, &one] {
+            let text = csv::to_csv(rel);
+            let back = csv::from_csv(rel.schema(), &text)
+                .unwrap_or_else(|e| panic!("case {case}: {e} reading {text:?}"));
+            assert_eq!(back.len(), rel.len(), "case {case}: {text:?}");
+            for ((_, a), (_, b)) in rel.iter().zip(back.iter()) {
+                assert_eq!(a.to_ids(), b.to_ids(), "case {case}: {text:?}");
+            }
+            assert_eq!(csv::to_csv(&back), text, "case {case}");
+        }
     }
 }
